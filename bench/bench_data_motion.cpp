@@ -7,12 +7,19 @@
 
 #include "perf/costs.hpp"
 #include "perf/datamotion.hpp"
+#include "util/cli.hpp"
 #include "util/csv.hpp"
 
 using namespace minivpic;
 using namespace minivpic::perf;
 
-int main() {
+int main(int argc, char** argv) try {
+  Args args(argc, argv);
+  if (args.has("help")) {
+    std::cout << "usage: bench_data_motion\n";
+    return 0;
+  }
+  args.check_known({});
   std::vector<KernelReport> reports;
   reports.push_back(run_sgemm(384));
   reports.push_back(run_nbody(4096));
@@ -44,4 +51,7 @@ int main() {
                "a PIC code therefore exercises the memory system, not just "
                "the FPUs.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_data_motion: " << e.what() << "\n";
+  return 1;
 }

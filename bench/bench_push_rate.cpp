@@ -3,7 +3,8 @@
 // sorted uniform plasma at several grid sizes and particle densities.
 // Google-benchmark microkernel timing of VPIC's inner loop plus its
 // supporting kernels (interpolator load, accumulator unload + pipeline
-// reduction, sort).
+// reduction, sort). The timed advance is the step loop's: advance_skin
+// (a no-op on one rank) + advance_interior + compact_species.
 //
 // The particle advance is swept over intra-rank pipeline counts (the
 // paper's per-node parallel layer): by default {1, 2, 4, ..., hardware},
@@ -33,10 +34,12 @@
 
 #include <cmath>
 #include <cstring>
+#include <iostream>
 #include <string>
 #include <vector>
 
 #include "particles/loader.hpp"
+#include "particles/migrate.hpp"
 #include "particles/push.hpp"
 #include "perf/costs.hpp"
 #include "util/pipeline.hpp"
@@ -113,11 +116,15 @@ void BM_ParticleAdvance(benchmark::State& state, int cells, int ppc,
     if (sort_every > 0) fx.sp.sort(fx.grid, &fx.pipeline);
     for (int n = 0; n < advances_per_iter; ++n) {
       fx.acc.clear();
-      const auto res =
-          fx.pusher.advance(fx.sp, fx.interp, fx.acc, &fx.pipeline);
+      const Pusher::Pass skin =
+          fx.pusher.advance_skin(fx.sp, fx.interp, fx.acc, &fx.pipeline);
+      const Pusher::Pass interior =
+          fx.pusher.advance_interior(fx.sp, fx.interp, fx.acc, &fx.pipeline);
+      compact_species(fx.sp, skin.dead, interior.dead, {});
       fx.acc.reduce();
-      pushed += res.pushed;
-      benchmark::DoNotOptimize(res.pushed);
+      const std::int64_t advanced = skin.res.pushed + interior.res.pushed;
+      pushed += advanced;
+      benchmark::DoNotOptimize(advanced);
     }
   }
   state.counters["particles/s"] =
@@ -236,9 +243,16 @@ void register_advance_benchmarks(const std::vector<int>& pipeline_counts,
   }
 }
 
+void print_help() {
+  std::cout << "usage: bench_push_rate [--pipelines=N] [--kernel=NAME] "
+               "[--shuffle] [--sort-every=N] [--json=PATH]\n"
+               "       [google-benchmark flags]\n";
+  benchmark::PrintDefaultHelp();
+}
+
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   // Peel off our own --pipelines/--json flags before google-benchmark sees
   // argv. --json is rewritten into the library's own JSON reporter flags so
   // every bench shares the one --json=PATH convention.
@@ -287,9 +301,12 @@ int main(int argc, char** argv) {
   }
   register_advance_benchmarks(counts, kernels, shuffle, sort_every);
   int bargc = int(bargv.size());
-  benchmark::Initialize(&bargc, bargv.data());
+  benchmark::Initialize(&bargc, bargv.data(), print_help);
   if (benchmark::ReportUnrecognizedArguments(bargc, bargv.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_push_rate: " << e.what() << "\n";
+  return 1;
 }

@@ -158,12 +158,20 @@ int run_campaign_comparison(bool quick, int budget) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Args args(argc, argv);
+  if (args.has("help")) {
+    std::cout << "usage: bench_reflectivity_sweep [--quick] "
+                 "[--campaign [--workers=N]]\n";
+    return 0;
+  }
   args.check_known({"quick", "campaign", "workers"});
   const bool quick = args.get_bool("quick", false);
   if (args.get_bool("campaign", false)) {
     return run_campaign_comparison(quick, int(args.get_int("workers", 4)));
   }
   return run_serial_sweep(quick);
+} catch (const std::exception& e) {
+  std::cerr << "bench_reflectivity_sweep: " << e.what() << "\n";
+  return 1;
 }

@@ -9,12 +9,19 @@
 #include "perf/costs.hpp"
 #include "perf/datamotion.hpp"
 #include "perf/roadrunner.hpp"
+#include "util/cli.hpp"
 #include "util/csv.hpp"
 
 using namespace minivpic;
 using perf::RoadrunnerModel;
 
-int main() {
+int main(int argc, char** argv) try {
+  Args args(argc, argv);
+  if (args.has("help")) {
+    std::cout << "usage: bench_roadrunner_model\n";
+    return 0;
+  }
+  args.check_known({});
   const RoadrunnerModel model;
   const auto& cfg = model.config();
 
@@ -53,7 +60,7 @@ int main() {
                    "t_push/step", "sustained Pflop/s"});
   for (const int period : {1, 5, 10, 20, 50, 100, 400}) {
     perf::RoadrunnerConfig swept = cfg;
-    swept.sort_period = period;
+    swept.sort_every = period;
     const auto sp = RoadrunnerModel(swept).predict(particles, voxels);
     sortsweep.add_row({(long long)period, sp.gather_disorder,
                        sp.bytes_per_particle_eff, sp.t_sort, sp.t_push,
@@ -93,4 +100,7 @@ int main() {
             << " Gflop/s s.p. on one x86 core (" << host.flops_per_byte()
             << " flops/byte algorithmic)\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_roadrunner_model: " << e.what() << "\n";
+  return 1;
 }

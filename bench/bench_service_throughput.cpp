@@ -154,6 +154,11 @@ void write_json(const std::string& path, int steps, int per_client,
 
 int main(int argc, char** argv) try {
   Args args(argc, argv);
+  if (args.has("help")) {
+    std::cout << "usage: bench_service_throughput [--steps=N] [--requests=N] "
+                 "[--workers=N] [--scratch=DIR] [--json=PATH]\n";
+    return 0;
+  }
   args.check_known({"steps", "requests", "workers", "scratch", "json"});
   const int steps = int(args.get_int("steps", 4));
   const int per_client = int(args.get_int("requests", 200));

@@ -4,7 +4,8 @@
 // sorted list against the same particles in shuffled (worst-case) order —
 // per advance kernel, because the SIMD gathers are exactly what decays
 // with disorder (docs/SORTING.md) — and shows the in-place sort's own cost
-// for amortization.
+// for amortization. The timed push is the step loop's advance:
+// advance_skin (a no-op on one rank) + advance_interior + compact_species.
 //
 //   --kernel=NAME   pin to one kernel: scalar|sse|avx2|avx512|auto
 //                   (default: every kernel this host can run)
@@ -14,10 +15,12 @@
 
 #include <cmath>
 #include <cstring>
+#include <iostream>
 #include <string>
 #include <vector>
 
 #include "particles/loader.hpp"
+#include "particles/migrate.hpp"
 #include "particles/push.hpp"
 #include "util/rng.hpp"
 
@@ -76,7 +79,11 @@ void push_loop(benchmark::State& state, int cells, int ppc, bool shuffled,
   std::int64_t pushed = 0;
   for (auto _ : state) {
     fx.acc.clear();
-    pushed += fx.pusher.advance(fx.sp, fx.interp, fx.acc).pushed;
+    const Pusher::Pass skin = fx.pusher.advance_skin(fx.sp, fx.interp, fx.acc);
+    const Pusher::Pass interior =
+        fx.pusher.advance_interior(fx.sp, fx.interp, fx.acc);
+    compact_species(fx.sp, skin.dead, interior.dead, {});
+    pushed += skin.res.pushed + interior.res.pushed;
   }
   state.counters["particles/s"] =
       benchmark::Counter(double(pushed), benchmark::Counter::kIsRate);
@@ -119,9 +126,15 @@ void register_push_benchmarks(const std::vector<Kernel>& kernels) {
   }
 }
 
+void print_help() {
+  std::cout << "usage: bench_sort_ablation [--kernel=NAME] [--json=PATH]\n"
+               "       [google-benchmark flags]\n";
+  benchmark::PrintDefaultHelp();
+}
+
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   std::vector<Kernel> kernels;
   std::vector<std::string> extra;
   std::vector<char*> bargv;
@@ -148,9 +161,12 @@ int main(int argc, char** argv) {
   }
   register_push_benchmarks(kernels);
   int bargc = int(bargv.size());
-  benchmark::Initialize(&bargc, bargv.data());
+  benchmark::Initialize(&bargc, bargv.data(), print_help);
   if (benchmark::ReportUnrecognizedArguments(bargc, bargv.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_sort_ablation: " << e.what() << "\n";
+  return 1;
 }

@@ -12,7 +12,7 @@
 //                   (default: sweep scalar plus the widest available)
 //   --steps=N       timed steps per configuration (default 100)
 //   --sort-every=N  override the deck's bin-sort cadence (0 = never sort;
-//                   default: the LPI deck's sort_period of 20) — the "sort"
+//                   default: the LPI deck's sort_every of 20) — the "sort"
 //                   row and the push rate move together (docs/SORTING.md)
 //   --json=PATH     machine-readable results: one record per swept
 //                   (pipelines, kernel) point carrying the full telemetry
@@ -54,7 +54,7 @@ sim::Deck breakdown_deck(int pipelines, particles::Kernel kernel,
   sim::Deck deck = sim::lpi_deck(p);
   deck.pipelines = pipelines;
   deck.kernel = kernel;
-  if (sort_every >= 0) deck.sort_period = sort_every;
+  if (sort_every >= 0) deck.sort_every = sort_every;
   return deck;
 }
 
@@ -103,8 +103,8 @@ SweepPoint run_breakdown(int pipelines, particles::Kernel kernel,
                      100.0 * sw.total_seconds() / total, std::string(note)});
     };
     const std::string sort_note =
-        deck.sort_period > 0
-            ? "in-place bin sort, every " + std::to_string(deck.sort_period) +
+        deck.sort_every > 0
+            ? "in-place bin sort, every " + std::to_string(deck.sort_every) +
                   " steps"
             : "bin sort disabled (sort_every = 0)";
     row("particle advance", t.push, "the paper's 0.488 Pflop/s inner loop");
@@ -141,7 +141,7 @@ SweepPoint run_breakdown(int pipelines, particles::Kernel kernel,
   SweepPoint pt;
   pt.pipelines = timed.pipelines();
   pt.kernel = particles::kernel_name(timed.kernel());
-  pt.sort_every = deck.sort_period;
+  pt.sort_every = deck.sort_every;
   pt.push_seconds = t.push.total_seconds();
   pt.sort_seconds = t.sort.total_seconds();
   pt.reduce_seconds = t.reduce.total_seconds();
@@ -185,8 +185,14 @@ void write_json(const std::string& path, int steps,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Args args(argc, argv);
+  if (args.has("help")) {
+    std::cout << "usage: bench_step_breakdown [--pipelines=N] [--kernel=NAME] "
+                 "[--steps=N] [--sort-every=N]\n"
+                 "       [--json=PATH] [--flight-recorder]\n";
+    return 0;
+  }
   args.check_known(
       {"pipelines", "kernel", "steps", "sort-every", "json", "flight-recorder"});
   const bool flight_recorder = args.get_bool("flight-recorder", false);
@@ -242,4 +248,7 @@ int main(int argc, char** argv) {
   }
   if (args.has("json")) write_json(args.get("json", ""), steps, sweep);
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_step_breakdown: " << e.what() << "\n";
+  return 1;
 }

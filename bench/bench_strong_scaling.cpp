@@ -3,21 +3,17 @@
 // share of the step rises — the measured comm fractions here feed the same
 // scaling story the paper's fixed-size runs tell.
 //
-// Each rank count now runs twice: with the barriered step loop
-// (--overlap=off semantics: two-pass push, inline exchange) and with the
-// overlapped loop (docs/OVERLAP.md: the exchange runs on a comm worker
-// concurrently with the interior push). Both schedules produce bit-identical
-// physics; what changes is where the exchange sits relative to the critical
-// path. The quantity the overlap attacks is the *exposed* comm time — the
-// part of the exchange a rank actually waits on — so the curves to compare
-// are "comm s/step" (barriered: the whole exchange) against "exposed
-// s/step" (overlapped: the join wait left after the interior push covered
-// the rest). On a single-core host wall time serializes (every thread's
-// work lands on one core), so the exposed-comm and comm-fraction curves
-// carry the scaling signal, as before.
+// Multi-rank runs overlap the particle exchange with the interior push
+// (docs/OVERLAP.md: the exchange runs on a comm worker), so the table
+// reports, from Simulation::overlap_stats(), both the whole exchange ("comm
+// s/step", the comm worker's busy time) and the part of it a rank actually
+// waits on ("exposed s/step", the join wait left after the interior push
+// covered the rest). On a single-core host wall time serializes (every
+// thread's work lands on one core), so the exposed-comm and comm-fraction
+// curves carry the scaling signal.
 //
 //   --steps=N    timed steps per configuration (default 20)
-//   --json=PATH  machine-readable per-(ranks, mode) records for the
+//   --json=PATH  machine-readable per-rank-count records for the
 //                benchmark snapshot (BENCH_9.json)
 #include <fstream>
 #include <iostream>
@@ -35,12 +31,11 @@ using namespace minivpic;
 
 namespace {
 
-sim::Deck scaling_deck(bool overlap) {
+sim::Deck scaling_deck() {
   sim::Deck deck;
   deck.grid.nx = 32;
   deck.grid.ny = deck.grid.nz = 12;
   deck.grid.dx = deck.grid.dy = deck.grid.dz = 0.4;
-  deck.overlap = overlap ? sim::Deck::Overlap::kOn : sim::Deck::Overlap::kOff;
   sim::SpeciesConfig e;
   e.name = "electron";
   e.q = -1;
@@ -57,10 +52,9 @@ sim::Deck scaling_deck(bool overlap) {
   return deck;
 }
 
-/// One (ranks, mode) measurement, rank-summed where meaningful.
+/// One rank-count measurement, rank-summed where meaningful.
 struct Point {
   int ranks = 1;
-  bool overlap = false;
   double wall_per_step = 0;     ///< rank-0 wall clock / steps
   double comm_per_step = 0;     ///< full exchange s/step (rank-summed)
   double exposed_per_step = 0;  ///< comm left on the critical path
@@ -70,15 +64,14 @@ struct Point {
   long long particles_per_rank = 0;
 };
 
-Point measure(int ranks, bool overlap, int steps) {
-  const sim::Deck deck = scaling_deck(overlap);
+Point measure(int ranks, int steps) {
+  const sim::Deck deck = scaling_deck();
   const auto nr = static_cast<std::size_t>(ranks);
   std::vector<double> comm_s(nr), exposed_s(nr), hidden_s(nr), tot_s(nr);
   std::vector<long long> migrated(nr);
   Timer wall;
   Point pt;
   pt.ranks = ranks;
-  pt.overlap = overlap;
   long long particles = 0;
   double wall_s = 0;
   vmpi::run(ranks, [&](vmpi::Comm& comm) {
@@ -95,14 +88,10 @@ Point measure(int ranks, bool overlap, int steps) {
     comm.barrier();
     if (comm.rank() == 0) wall_s = wall.seconds();
     const auto r = std::size_t(comm.rank());
+    // A single rank has no exchange partner: its ledger stays zero.
     const sim::OverlapStats& ov = sim.overlap_stats();
-    // Barriered: the migrate phase is the whole exchange, all of it
-    // exposed. Overlapped: the migrate phase is only the join wait; the
-    // worker's wall time is the full exchange.
-    comm_s[r] = ov.enabled ? ov.comm_seconds
-                           : sim.timings().migrate.total_seconds();
-    exposed_s[r] = ov.enabled ? ov.exposed_seconds
-                              : sim.timings().migrate.total_seconds();
+    comm_s[r] = ov.comm_seconds;
+    exposed_s[r] = ov.exposed_seconds;
     hidden_s[r] = ov.hidden_seconds;
     tot_s[r] = sim.timings().total_seconds();
     migrated[r] = sim.particle_stats().migrated;
@@ -132,7 +121,6 @@ void write_json(const std::string& path, int steps,
   for (const Point& pt : points) {
     telemetry::Json rec = telemetry::Json::object();
     rec.set("ranks", telemetry::Json::number(std::int64_t{pt.ranks}));
-    rec.set("overlap", telemetry::Json::boolean(pt.overlap));
     rec.set("wall_s_per_step", telemetry::Json::number(pt.wall_per_step));
     rec.set("comm_s_per_step", telemetry::Json::number(pt.comm_per_step));
     rec.set("exposed_s_per_step",
@@ -159,40 +147,35 @@ void write_json(const std::string& path, int steps,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Args args(argc, argv);
+  if (args.has("help")) {
+    std::cout << "usage: bench_strong_scaling [--steps=N] [--json=PATH]\n";
+    return 0;
+  }
   args.check_known({"steps", "json"});
   const int steps = int(args.get_int("steps", 20));
   MV_REQUIRE(steps >= 1, "--steps must be >= 1");
 
   std::vector<Point> points;
-  Table table({"ranks", "cells/rank", "particles/rank", "schedule",
-               "wall s/step", "comm s/step", "exposed s/step",
+  Table table({"ranks", "cells/rank", "particles/rank", "wall s/step",
+               "comm s/step", "exposed s/step", "hidden s/step",
                "exposed comm %", "migrated/step"});
   for (int ranks : {1, 2, 4, 8}) {
-    for (bool overlap : {false, true}) {
-      const Point pt = measure(ranks, overlap, steps);
-      points.push_back(pt);
-      table.add_row({(long long)ranks, (long long)(32 * 12 * 12 / ranks),
-                     pt.particles_per_rank,
-                     std::string(overlap ? "overlapped" : "barriered"),
-                     pt.wall_per_step, pt.comm_per_step, pt.exposed_per_step,
-                     pt.comm_fraction, pt.migrated_per_step});
-    }
+    const Point pt = measure(ranks, steps);
+    points.push_back(pt);
+    table.add_row({(long long)ranks, (long long)(32 * 12 * 12 / ranks),
+                   pt.particles_per_rank, pt.wall_per_step, pt.comm_per_step,
+                   pt.exposed_per_step, pt.hidden_per_step, pt.comm_fraction,
+                   pt.migrated_per_step});
   }
   table.print(std::cout,
-              "F2: strong scaling of a fixed 32x12x12 problem, barriered vs "
-              "overlapped step loop (single-core host: wall time serializes; "
-              "the exposed-comm curves carry the overlap signal)");
-  for (int ranks : {2, 4, 8}) {
-    double barr = 0, over = 0;
-    for (const Point& pt : points)
-      if (pt.ranks == ranks) (pt.overlap ? over : barr) = pt.exposed_per_step;
-    std::cout << "ranks=" << ranks << ": exposed comm " << barr * 1e3
-              << " ms/step barriered -> " << over * 1e3
-              << " ms/step overlapped ("
-              << (over > 0 ? barr / over : 0) << "x)\n";
-  }
+              "F2: strong scaling of a fixed 32x12x12 problem (single-core "
+              "host: wall time serializes; the exposed-comm curve carries "
+              "the overlap signal)");
   if (args.has("json")) write_json(args.get("json", ""), steps, points);
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_strong_scaling: " << e.what() << "\n";
+  return 1;
 }

@@ -7,13 +7,20 @@
 
 #include "sim/diagnostics.hpp"
 #include "sim/simulation.hpp"
+#include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/units.hpp"
 
 using namespace minivpic;
 
-int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
+int main(int argc, char** argv) try {
+  Args args(argc, argv);
+  if (args.has("help")) {
+    std::cout << "usage: bench_trapping_spectra [--quick]\n";
+    return 0;
+  }
+  args.check_known({"quick"});
+  const bool quick = args.get_bool("quick", false);
   const double t_end = quick ? 120.0 : 400.0;
   const int ppc = quick ? 32 : 128;
 
@@ -63,4 +70,7 @@ int main(int argc, char** argv) {
   std::cout << "expected shape: identical thermal bulk; the high-intensity "
                "run grows a multi-decade suprathermal tail.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_trapping_spectra: " << e.what() << "\n";
+  return 1;
 }

@@ -17,6 +17,7 @@
 #include "perf/costs.hpp"
 #include "perf/roadrunner.hpp"
 #include "sim/simulation.hpp"
+#include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/timer.hpp"
 #include "vmpi/runtime.hpp"
@@ -53,7 +54,13 @@ sim::Deck weak_deck(int ranks) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) try {
+  Args args(argc, argv);
+  if (args.has("help")) {
+    std::cout << "usage: bench_weak_scaling\n";
+    return 0;
+  }
+  args.check_known({});
   const int steps = 20;
   Table measured({"ranks", "global particles", "wall s/step",
                   "aggregate Mpart/s", "comm fraction %", "imbalance %"});
@@ -122,4 +129,7 @@ int main() {
                   "F1b: Roadrunner model weak scaling (paper: near-linear to "
                   "0.374 Pflop/s at 17 CUs)");
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_weak_scaling: " << e.what() << "\n";
+  return 1;
 }

@@ -14,9 +14,6 @@
 //              [--sort-every=N]  # particle bin-sort cadence in steps;
 //                                # 0 = never (deck: sort_every, default 20;
 //                                # see docs/SORTING.md for tuning)
-//              [--overlap=MODE]  # comm/compute overlap: on|off|auto
-//                                # (deck: overlap, default auto = on for
-//                                # multi-rank runs; see docs/OVERLAP.md)
 //              [--set=section.key=value] # deck override (repeatable)
 //              [--metrics=PATH]  # NDJSON metrics stream (rank-reduced)
 //              [--metrics-every=N]       # sample cadence (default: --report)
@@ -272,7 +269,7 @@ int run(int argc, char** argv) {
   Args args(argc, argv);
   args.check_known({"steps", "report", "probe_plane", "checkpoint",
                     "checkpoint-every", "resume", "max-walltime", "history",
-                    "pipelines", "kernel", "sort-every", "overlap", "metrics",
+                    "pipelines", "kernel", "sort-every", "metrics",
                     "metrics-every", "trace", "log-level", "set", "ranks",
                     "comm-timeout", "inject-comm-fault", "flight-recorder",
                     "fdr-prefix"});
@@ -285,7 +282,7 @@ int run(int argc, char** argv) {
                  "       [--metrics=ndjson] [--metrics-every=N] "
                  "[--trace=json] [--log-level=LVL]\n"
                  "       [--kernel=scalar|sse|avx2|avx512|auto] "
-                 "[--sort-every=N] [--overlap=on|off|auto]\n"
+                 "[--sort-every=N]\n"
                  "       [--set=section.key=value ...]\n"
                  "       [--ranks=N] [--comm-timeout=seconds] "
                  "[--inject-comm-fault=kind[:rank[:arg]]@step ...]\n"
@@ -319,26 +316,11 @@ int run(int argc, char** argv) {
     deck.kernel = particles::parse_kernel(args.get("kernel", "auto"));
   }
   // Bin-sort cadence follows the same convention: the deck's [control]
-  // `sort_every` (alias `sort_period`) overridden by --sort-every; 0 turns
-  // the periodic sort off entirely.
+  // `sort_every` overridden by --sort-every; 0 turns the periodic sort off
+  // entirely.
   if (args.has("sort-every")) {
-    deck.sort_period = int(args.get_int("sort-every", 20));
-    MV_REQUIRE(deck.sort_period >= 0, "--sort-every must be >= 0");
-  }
-  // Comm/compute overlap (docs/OVERLAP.md): the deck's [control] `overlap`
-  // key (default auto) overridden by --overlap.
-  if (args.has("overlap")) {
-    const std::string mode = args.get("overlap", "auto");
-    if (mode == "on") {
-      deck.overlap = sim::Deck::Overlap::kOn;
-    } else if (mode == "off") {
-      deck.overlap = sim::Deck::Overlap::kOff;
-    } else if (mode == "auto") {
-      deck.overlap = sim::Deck::Overlap::kAuto;
-    } else {
-      MV_REQUIRE(false, "--overlap: unknown mode '" << mode
-                                                    << "' (on|off|auto)");
-    }
+    deck.sort_every = int(args.get_int("sort-every", 20));
+    MV_REQUIRE(deck.sort_every >= 0, "--sort-every must be >= 0");
   }
   if (args.has("checkpoint-every")) {
     deck.checkpoint_every = int(args.get_int("checkpoint-every", 0));
@@ -482,7 +464,7 @@ int run(int argc, char** argv) {
     }
     if (s % report == 0) {
       std::vector<Cell> row{(long long)s, sim.time(), sim.energies().total};
-      if (probe) row.push_back(probe->reflectivity());
+      if (probe) row.emplace_back(probe->reflectivity());
       table.add_row(std::move(row));
     }
     if (g_stop_signal != 0) {

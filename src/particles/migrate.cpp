@@ -1,6 +1,8 @@
 #include "particles/migrate.hpp"
 
+#include <algorithm>
 #include <array>
+#include <iterator>
 
 #include "util/error.hpp"
 
@@ -154,14 +156,15 @@ MigrateStats exchange_particles(std::vector<Emigrant> emigrants,
   return stats;
 }
 
-MigrateStats migrate_particles(std::vector<Emigrant> emigrants, Species& sp,
-                               const Pusher& pusher, AccumulatorArray& acc,
-                               const grid::LocalGrid& g, vmpi::Comm* comm) {
-  std::vector<Particle> immigrants;
-  const MigrateStats stats = exchange_particles(
-      std::move(emigrants), sp, pusher, acc.data(), g, comm, &immigrants);
+void compact_species(Species& sp, std::span<const std::size_t> skin_dead,
+                     std::span<const std::size_t> interior_dead,
+                     std::span<const Particle> immigrants) {
+  std::vector<std::size_t> dead;
+  dead.reserve(skin_dead.size() + interior_dead.size());
+  std::merge(skin_dead.begin(), skin_dead.end(), interior_dead.begin(),
+             interior_dead.end(), std::back_inserter(dead));
+  for (auto it = dead.rbegin(); it != dead.rend(); ++it) sp.remove(*it);
   for (const Particle& p : immigrants) sp.add(p);
-  return stats;
 }
 
 }  // namespace minivpic::particles

@@ -4,17 +4,18 @@
 // Corner trajectories can hop ranks more than once per step, so exchange
 // rounds repeat until no rank holds emigrants.
 //
-// Two entry points share the implementation. exchange_particles is the
-// overlap-scheduler core (docs/OVERLAP.md): it uses posted receives
-// (vmpi::Comm::ipost) so payloads complete at delivery time, deposits into a
-// caller-chosen accumulator block, and buffers settled immigrants instead of
-// appending to the species — the three properties that make it safe to run
-// on a comm worker thread concurrently with the interior push. The classic
-// migrate_particles wrapper keeps the historical synchronous signature
-// (append to sp, deposit into block 0) for callers outside the step loop.
+// exchange_particles is the overlap-scheduler core (docs/OVERLAP.md): it
+// uses posted receives (vmpi::Comm::ipost) so payloads complete at delivery
+// time, deposits into a caller-chosen accumulator block, and buffers settled
+// immigrants instead of appending to the species — the three properties
+// that make it safe to run on a comm worker thread concurrently with the
+// interior push. compact_species then applies the advance's deferred
+// removals and appends the immigrants, once both passes and every exchange
+// have finished.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "particles/push.hpp"
@@ -44,10 +45,14 @@ MigrateStats exchange_particles(std::vector<Emigrant> emigrants,
                                 const grid::LocalGrid& grid, vmpi::Comm* comm,
                                 std::vector<Particle>* immigrants);
 
-/// Classic synchronous wrapper: exchanges, then appends settled immigrants
-/// to `sp` immediately, depositing into accumulator block 0.
-MigrateStats migrate_particles(std::vector<Emigrant> emigrants, Species& sp,
-                               const Pusher& pusher, AccumulatorArray& acc,
-                               const grid::LocalGrid& grid, vmpi::Comm* comm);
+/// Finishes a two-pass advance (push.hpp): merges the ascending dead lists
+/// of pass S and pass I, removes those particles in descending index order
+/// (so each swap-with-last leaves the pending indices valid), then appends
+/// the settled `immigrants`. The step loop and every test harness and bench
+/// that advances particles end each species' advance here, so the particle
+/// array layout is the same wherever the advance runs.
+void compact_species(Species& sp, std::span<const std::size_t> skin_dead,
+                     std::span<const std::size_t> interior_dead,
+                     std::span<const Particle> immigrants);
 
 }  // namespace minivpic::particles

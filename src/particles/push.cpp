@@ -381,14 +381,13 @@ Pusher::Pass Pusher::advance_pass(Species& sp, const InterpolatorArray& interp,
   ensure_reflux_streams(n_pipe);
 
   // With an empty skin the two passes degenerate: S advances nothing (and
-  // draws nothing), I advances full slices — bit-identical to kAll.
+  // draws nothing), I advances full slices.
   if (!has_skin_ && kind == PassKind::kSkin) {
     Pass pass;
     pass.res.pipeline_seconds.assign(std::size_t(n_pipe), 0.0);
     return pass;
   }
-  const bool full = kind == PassKind::kAll ||
-                    (!has_skin_ && kind == PassKind::kInterior);
+  const bool full = !has_skin_;
 
   if (kind == PassKind::kSkin) cls_.resize(sp.size());
 
@@ -461,19 +460,6 @@ Pusher::Pass Pusher::advance_interior(Species& sp,
                                       AccumulatorArray& acc,
                                       Pipeline* pipeline) {
   return advance_pass(sp, interp, acc, pipeline, PassKind::kInterior);
-}
-
-Pusher::Result Pusher::advance(Species& sp, const InterpolatorArray& interp,
-                               AccumulatorArray& acc, Pipeline* pipeline) {
-  Pass pass = advance_pass(sp, interp, acc, pipeline, PassKind::kAll);
-
-  // Compact out emigrated/absorbed particles. `dead` is ascending (each
-  // slice is ascending and slices are concatenated in partition order);
-  // descending removal keeps the swap-with-last from invalidating pending
-  // indices.
-  for (auto it = pass.dead.rbegin(); it != pass.dead.rend(); ++it)
-    sp.remove(*it);
-  return std::move(pass.res);
 }
 
 namespace {

@@ -13,8 +13,8 @@
 // by the cell size); cell *offsets* span [-1, 1] and therefore advance by
 // twice the cell-unit displacement.
 //
-// Intra-rank pipelines (the paper's per-node parallel layer): advance() can
-// run on N pipelines from a util Pipeline pool. The particle array is
+// Intra-rank pipelines (the paper's per-node parallel layer): each pass of
+// the advance can run on N pipelines from a util Pipeline pool. The particle array is
 // statically partitioned into N contiguous slices; pipeline p advances its
 // slice, deposits into accumulator block p, draws reflux momenta from its
 // own counter-based RNG stream, and records its emigrants/dead particles
@@ -70,7 +70,7 @@ class Pusher {
   Pusher(const grid::LocalGrid& grid, const ParticleBcSpec& bc,
          double reflux_uth = 0.0, std::uint64_t reflux_seed = 31415);
 
-  /// Wall reservoir temperature for the next advance() (per species).
+  /// Wall reservoir temperature for the next advance (per species).
   void set_reflux_uth(double uth) { reflux_uth_ = uth; }
 
   struct Result {
@@ -86,31 +86,22 @@ class Pusher {
     std::vector<double> pipeline_seconds;
   };
 
-  /// Advances every particle of `sp` one step, depositing current into
-  /// `acc`. Emigrants and absorbed particles are removed from `sp`.
-  ///
-  /// With a `pipeline` pool of N > 1, `acc` must have at least N blocks;
-  /// each pipeline deposits into its own block and the caller must fold
-  /// them with acc.reduce() before unload(). Without a pool (or with a
-  /// 1-pipeline pool) this is the serial reference path depositing into
-  /// block 0 on the calling thread.
-  Result advance(Species& sp, const InterpolatorArray& interp,
-                 AccumulatorArray& acc, Pipeline* pipeline = nullptr);
-
   // -- two-pass (skin, then interior) advance ------------------------------
   //
-  // The overlap scheduler (docs/OVERLAP.md) splits the advance into two
-  // passes over the same particle list: pass S advances only particles in
-  // *skin* cells — cells bordering a remote rank, the only ones that can
-  // emit emigrants under the CFL limit — so migration can start while
-  // pass I advances the interior complement. Both the barriered and the
-  // overlapped step loop run the same S-then-I sequence, so the per-stream
-  // arithmetic order, RNG draw order, emigrant order, and dead-index sets
-  // are identical by construction; the modes differ only in *when* the
-  // migration exchange executes. Removals are deferred to the caller:
-  // merge the two ascending dead lists and remove descending after the
-  // exchange completes. On a single-rank grid the skin set is empty and
-  // pass I alone is bit-identical to advance().
+  // The one advance path (docs/OVERLAP.md): pass S advances only particles
+  // in *skin* cells — cells bordering a remote rank, the only ones that can
+  // emit emigrants under the CFL limit — so migration can start while pass
+  // I advances the interior complement. Removals are deferred to the caller:
+  // after the exchange completes, compact_species (migrate.hpp) merges the
+  // two ascending dead lists, removes descending, and appends immigrants.
+  // On a single-rank grid the skin set is empty, pass S is a no-op, and pass
+  // I advances every particle in one sweep per pipeline slice.
+  //
+  // With a `pipeline` pool of N > 1, `acc` must have at least N blocks;
+  // each pipeline deposits into its own block and the caller must fold
+  // them with acc.reduce() before unload(). Without a pool (or with a
+  // 1-pipeline pool) this is the serial reference path depositing into
+  // block 0 on the calling thread.
 
   struct Pass {
     Result res;
@@ -130,26 +121,16 @@ class Pusher {
   Pass advance_interior(Species& sp, const InterpolatorArray& interp,
                         AccumulatorArray& acc, Pipeline* pipeline = nullptr);
 
-  /// True when some local cell borders a remote rank (the skin is
-  /// non-empty); false on single-rank grids, where pass S is a no-op.
-  bool has_skin() const { return has_skin_; }
-
   enum class MoveStatus { kDone, kEmigrated, kAbsorbed };
 
   /// Completes the move of an immigrant received from a neighbor rank
   /// (momentum already updated by the sender). `p.i` must already be this
   /// rank's voxel. On kEmigrated, `*out` describes the next hop. Deposits
-  /// into `acc_block` — the overlap scheduler passes a dedicated migration
-  /// block so the exchange can deposit concurrently with the interior
-  /// pass; the AccumulatorArray overload keeps the old block-0 behavior.
+  /// into `acc_block` — the step loop passes a dedicated migration block so
+  /// the exchange can deposit concurrently with the interior pass.
   MoveStatus continue_move(Particle& p, Mover& m, float macro_charge,
                            CellAccum* acc_block, Emigrant* out,
                            Result* stats) const;
-  MoveStatus continue_move(Particle& p, Mover& m, float macro_charge,
-                           AccumulatorArray& acc, Emigrant* out,
-                           Result* stats) const {
-    return continue_move(p, m, macro_charge, acc.data(), out, stats);
-  }
 
   const ParticleBcSpec& bc() const { return bc_; }
 
@@ -158,7 +139,7 @@ class Pusher {
   /// util::Error when unavailable. Default is the scalar reference.
   void set_kernel(Kernel k);
 
-  /// The resolved kernel the next advance() will run (never kAuto).
+  /// The resolved kernel the next advance will run (never kAuto).
   Kernel kernel() const { return kernel_; }
 
   /// Floating-point operations per particle advance for the common in-cell
@@ -195,17 +176,15 @@ class Pusher {
   /// persistent across steps so draw sequences stay reproducible.
   void ensure_reflux_streams(int n);
 
-  /// Shared machinery of advance / advance_skin / advance_interior: one
-  /// pass over the static pipeline partition, restricted to the requested
-  /// particle class (kAll advances every particle, exactly the historical
-  /// single-pass advance).
-  enum class PassKind { kAll, kSkin, kInterior };
+  /// Shared machinery of advance_skin / advance_interior: one pass over the
+  /// static pipeline partition, restricted to the requested particle class.
+  enum class PassKind { kSkin, kInterior };
   Pass advance_pass(Species& sp, const InterpolatorArray& interp,
                     AccumulatorArray& acc, Pipeline* pipeline, PassKind kind);
 
   /// Advances the maximal runs of [begin, end) whose cached class equals
   /// `want`, preserving index order (each run goes through advance_range,
-  /// so kernels see contiguous slices exactly as in the one-pass advance).
+  /// so kernels see contiguous slices exactly as in a skin-free pass).
   void advance_runs(Species& sp, const InterpolatorArray& interp,
                     CellAccum* acc_block, std::size_t begin, std::size_t end,
                     std::uint8_t want, Rng& reflux_rng, Result& res,

@@ -15,7 +15,7 @@ RoadrunnerModel::RoadrunnerModel(const RoadrunnerConfig& cfg) : cfg_(cfg) {
              "efficiency must be in (0,1]");
   MV_REQUIRE(cfg.flops_per_particle > 0 && cfg.bytes_per_particle > 0,
              "workload costs must be positive");
-  MV_REQUIRE(cfg.sort_period >= 1, "sort period must be >= 1");
+  MV_REQUIRE(cfg.sort_every >= 1, "sort period must be >= 1");
   MV_REQUIRE(cfg.bytes_per_particle_unsorted >= cfg.bytes_per_particle,
              "unsorted gather traffic cannot be below the sorted stream");
   MV_REQUIRE(cfg.disorder_per_step >= 0 && cfg.disorder_per_step <= 1,
@@ -84,7 +84,7 @@ RoadrunnerPrediction RoadrunnerModel::predict(double particles, double voxels,
   // read-modify-write of each misplaced particle — calibrated at ~4x the
   // 32 B particle record (Species::sort; docs/SORTING.md).
   out.t_sort = np * (32.0 * 2 * 2) / cfg_.mem_bw_per_cell /
-               double(cfg_.sort_period);
+               double(cfg_.sort_every);
 
   // Field update: bandwidth-bound over the mesh (plus its modest flops).
   out.t_field = std::max(

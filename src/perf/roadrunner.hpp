@@ -73,7 +73,7 @@ struct RoadrunnerConfig {
   double bytes_per_particle_unsorted = 320.0;
   /// Fraction of particles that cross a cell face per step (~ u_th dt/dx);
   /// the disorder the periodic sort exists to undo accumulates at this
-  /// rate, so the mean gather penalty grows with sort_period. 0 models a
+  /// rate, so the mean gather penalty grows with sort_every. 0 models a
   /// perfectly cold plasma (sorted order never decays).
   double disorder_per_step = 0.005;
   double field_flops_per_voxel = 66.0;
@@ -82,12 +82,12 @@ struct RoadrunnerConfig {
   // Calibrated efficiencies:
   double spe_push_efficiency = 0.30;   ///< compute-side ceiling, frac of peak
   double host_overhead_fraction = 0.18;  ///< DaCS/PCIe staging vs t_push
-  int sort_period = 20;  ///< steps between bin sorts ([control] sort_every)
+  int sort_every = 20;  ///< steps between bin sorts ([control] sort_every)
 
   /// Comm/compute overlap effectiveness, in [0, 1]: the fraction of the
-  /// exchange the overlapped step loop (docs/OVERLAP.md, [control]
-  /// `overlap`) hides behind the interior push. 0 models the barriered
-  /// schedule (every t_comm second exposed — the legacy t_step, exactly);
+  /// exchange the overlapped step loop (docs/OVERLAP.md; every multi-rank
+  /// run) hides behind the interior push. 0 models a barriered schedule
+  /// (every t_comm second exposed — the legacy t_step, exactly);
   /// 1 models a perfect scheduler that hides comm up to the interior-push
   /// budget. The hideable budget itself is bounded by the skin fraction:
   /// only the interior pass (1 - f_skin of t_push) runs concurrently with
@@ -98,11 +98,11 @@ struct RoadrunnerConfig {
   /// Mean fraction of the particle list out of streaming order, averaged
   /// over one sort period: disorder grows ~linearly from 0 right after a
   /// sort to (P-1) * disorder_per_step just before the next, clamped to 1.
-  /// This is the knob coupling: larger sort_period shrinks t_sort but
+  /// This is the knob coupling: larger sort_every shrinks t_sort but
   /// inflates t_push through the gather penalty — the tradeoff the
   /// [control] sort_every deck key tunes (docs/SORTING.md).
   double mean_disorder() const {
-    const double d = 0.5 * double(sort_period - 1) * disorder_per_step;
+    const double d = 0.5 * double(sort_every - 1) * disorder_per_step;
     return d < 1.0 ? d : 1.0;
   }
 

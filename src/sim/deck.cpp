@@ -106,7 +106,7 @@ Deck lpi_deck(const LpiParams& p) {
   d.grid.dx = d.grid.dy = d.grid.dz = p.dx;
   d.grid.boundary = grid::lpi_boundaries();
   d.particle_bc = particles::lpi_particles();
-  d.sort_period = 20;
+  d.sort_every = 20;
   d.clean_period = 50;
 
   const double x_lo = p.vacuum_cells * p.dx;

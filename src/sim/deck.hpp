@@ -83,16 +83,7 @@ struct Deck {
   /// resolved at Simulation construction.
   particles::Kernel kernel = particles::Kernel::kScalar;
 
-  /// Comm/compute overlap in the step loop (docs/OVERLAP.md): kOn runs the
-  /// migration exchange on a comm worker thread concurrently with the
-  /// interior push; kOff runs the same two-pass schedule inline (the
-  /// barriered reference — bit-identical results, serialized phases).
-  /// kAuto resolves to on for multi-rank runs and off otherwise (a
-  /// single-rank grid has no skin, so there is nothing to hide).
-  enum class Overlap { kOff, kOn, kAuto };
-  Overlap overlap = Overlap::kAuto;
-
-  int sort_period = 20;   ///< steps between particle sorts (0 = never)
+  int sort_every = 20;    ///< steps between particle sorts (0 = never)
   int clean_period = 0;   ///< steps between Marder cleanings (0 = never)
   /// Steps between periodic checkpoint sets (0 = only on demand). The
   /// front ends honor this; the library never checkpoints on its own.

@@ -20,7 +20,7 @@
 //   omega0 = 3.162    a0 = 0.1          ramp = 10     plane = 2
 //
 //   [control]
-//   sort_period = 20  clean_period = 50
+//   sort_every = 20   clean_period = 50
 //
 //   [collision electron electron]
 //   nu_scale = 1e-4   period = 10

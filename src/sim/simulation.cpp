@@ -51,15 +51,14 @@ Simulation::Simulation(const Deck& deck, vmpi::Comm* comm,
   // explicit choices (an explicitly requested unavailable kernel throws
   // here, before any particles are loaded).
   pusher_.set_kernel(deck.kernel);
-  // Overlap resolution (docs/OVERLAP.md): kAuto follows the skin — overlap
-  // pays off exactly when there is a remote neighbor to exchange with. kOn
-  // also degrades to barriered on single-rank grids (nothing to hide).
-  overlap_ = deck.overlap != Deck::Overlap::kOff && comm != nullptr &&
-             comm->size() > 1;
-  if (overlap_) comm_worker_ = std::make_unique<util::Worker>();
-  overlap_stats_.enabled = overlap_;
+  // One step schedule (docs/OVERLAP.md): the exchange runs on the comm
+  // worker exactly when there is a remote neighbor to exchange with; a
+  // single-rank grid has no skin and nothing to hide.
+  if (comm != nullptr && comm->size() > 1)
+    comm_worker_ = std::make_unique<util::Worker>();
+  overlap_stats_.enabled = comm_worker_ != nullptr;
   MV_REQUIRE(!deck.species.empty(), "deck has no species");
-  MV_REQUIRE(deck.sort_period >= 0 && deck.clean_period >= 0 &&
+  MV_REQUIRE(deck.sort_every >= 0 && deck.clean_period >= 0 &&
                  deck.clean_passes >= 1,
              "invalid cadence settings");
   for (const SpeciesConfig& sc : deck.species) {
@@ -155,7 +154,7 @@ void Simulation::step() {
   const bool clean_now =
       deck_.clean_period > 0 && (step_ + 1) % deck_.clean_period == 0;
   const bool sort_now =
-      deck_.sort_period > 0 && (step_ + 1) % deck_.sort_period == 0;
+      deck_.sort_every > 0 && (step_ + 1) % deck_.sort_every == 0;
 
   // The migration exchange deposits into the dedicated last block on
   // multi-rank grids (see acc_'s constructor comment), block 0 otherwise.
@@ -171,12 +170,12 @@ void Simulation::step() {
                             : deck_.species[s].load.uth;
     pusher_.set_reflux_uth(ruth);
 
-    // Two-pass advance (docs/OVERLAP.md): pass S (skin cells) runs first in
-    // BOTH modes, so arithmetic order, RNG draws, and emigrant order are
-    // mode-independent; the overlapped loop merely runs the exchange on the
-    // comm worker while pass I advances the interior. Removals are deferred
-    // until the exchange has drained, then immigrants are appended —
-    // exactly the array layout the barriered schedule produces.
+    // Two-pass advance (docs/OVERLAP.md): pass S (skin cells) runs first;
+    // on multi-rank grids the exchange of its emigrants runs on the comm
+    // worker while pass I advances the interior. Removals are deferred
+    // until the exchange has drained, then immigrants are appended
+    // (compact_species), so the array layout does not depend on when the
+    // exchange finished.
     particles::Pusher::Pass skin, interior;
     particles::MigrateStats mig;
     std::vector<particles::Particle> immigrants;
@@ -189,9 +188,9 @@ void Simulation::step() {
         telemetry::RecordedPhase rec(recorder_, telemetry::kFdrPhasePushSkin);
         const Timer t;
         skin = pusher_.advance_skin(sp, interp_, acc_, &pipeline_);
-        if (overlap_) overlap_stats_.skin_seconds += t.seconds();
+        if (comm_worker_) overlap_stats_.skin_seconds += t.seconds();
       }
-      if (overlap_) {
+      if (comm_worker_) {
         comm_worker_->submit([&, this] {
           // TraceWriter and Recorder are thread-safe; the span lands on the
           // worker's own trace row, bracketing push.interior below.
@@ -211,12 +210,12 @@ void Simulation::step() {
                                      telemetry::kFdrPhasePushInterior);
         const Timer t;
         interior = pusher_.advance_interior(sp, interp_, acc_, &pipeline_);
-        if (overlap_) overlap_stats_.interior_seconds += t.seconds();
+        if (comm_worker_) overlap_stats_.interior_seconds += t.seconds();
       } catch (...) {
         // Join the comm worker before unwinding (the interior failure is
         // primary; a concurrent exchange error is dropped) so it never
         // outlives the state it touches.
-        if (overlap_) {
+        if (comm_worker_) {
           try {
             comm_worker_->wait();
           } catch (...) {
@@ -238,11 +237,12 @@ void Simulation::step() {
     for (std::size_t p = 0; p < interior.res.pipeline_seconds.size(); ++p)
       pipeline_busy_[p] += interior.res.pipeline_seconds[p];
     {
-      // In overlapped mode this phase records only the *exposed* join wait,
-      // so phase totals keep summing to step wall time; the hidden comm
-      // lives in overlap_stats().
+      // On multi-rank grids this phase records only the *exposed* join
+      // wait, so phase totals keep summing to step wall time; the hidden
+      // comm lives in overlap_stats(). Single-rank grids have no comm
+      // worker and no emigrants: their exchange is a no-op.
       telemetry::PhaseSpan lap(timings_.migrate, trace_, "migrate", recorder_, telemetry::kFdrPhaseMigrate);
-      if (overlap_) {
+      if (comm_worker_) {
         const Timer t;
         comm_worker_->wait();  // rethrows a CommError from the exchange
         const double exposed = t.seconds();
@@ -255,21 +255,13 @@ void Simulation::step() {
                                             sp, pusher_, migrate_block,
                                             grid_, comm_, &immigrants);
       }
-      // Interior emigrants exist only past the CFL limit; both modes drain
-      // them with the same follow-up exchange (one allreduce, normally 0
-      // rounds).
+      // Interior emigrants exist only past the CFL limit; a follow-up
+      // exchange drains them (one allreduce, normally 0 rounds).
       const particles::MigrateStats tail = particles::exchange_particles(
           std::move(interior.res.emigrants), sp, pusher_, migrate_block,
           grid_, comm_, &immigrants);
 
-      // Deferred compaction: merge the two ascending dead lists, remove
-      // descending, then append settled immigrants.
-      std::vector<std::size_t> dead;
-      dead.reserve(skin.dead.size() + interior.dead.size());
-      std::merge(skin.dead.begin(), skin.dead.end(), interior.dead.begin(),
-                 interior.dead.end(), std::back_inserter(dead));
-      for (auto it = dead.rbegin(); it != dead.rend(); ++it) sp.remove(*it);
-      for (const particles::Particle& p : immigrants) sp.add(p);
+      particles::compact_species(sp, skin.dead, interior.dead, immigrants);
 
       stats_.migrated += mig.sent + tail.sent;
       stats_.immigrated += mig.received + tail.received;

@@ -72,11 +72,11 @@ struct ParticleStats {
 };
 
 /// Comm/compute overlap telemetry (docs/OVERLAP.md), cumulative since
-/// construction. Only the overlapped loop fills the second group; the
-/// `migrate` phase stopwatch then records just the *exposed* join wait, so
-/// phase totals keep summing to the step wall time.
+/// construction. Only multi-rank runs overlap and fill these; the `migrate`
+/// phase stopwatch then records just the *exposed* join wait, so phase
+/// totals keep summing to the step wall time.
 struct OverlapStats {
-  bool enabled = false;              ///< resolved overlap mode
+  bool enabled = false;              ///< true on multi-rank runs
   std::int64_t overlapped_steps = 0; ///< species-advances run overlapped
   double skin_seconds = 0;           ///< pass S wall time
   double interior_seconds = 0;       ///< pass I wall time
@@ -133,9 +133,6 @@ class Simulation {
   /// Resolved particle-advance kernel (never kAuto; see particles/kernel.hpp).
   particles::Kernel kernel() const { return pusher_.kernel(); }
   const ParticleStats& particle_stats() const { return stats_; }
-  /// True when the step loop runs the overlapped schedule (Deck::overlap
-  /// resolved against the communicator at construction).
-  bool overlap() const { return overlap_; }
   const OverlapStats& overlap_stats() const { return overlap_stats_; }
   /// Cumulative busy wall seconds per pipeline inside the particle advance
   /// (index = pipeline id; empty before the first step). The spread across
@@ -197,8 +194,9 @@ class Simulation {
   std::int64_t step_ = 0;
   double time_ = 0;
   bool initialized_ = false;
-  bool overlap_ = false;  ///< resolved Deck::overlap
-  std::unique_ptr<util::Worker> comm_worker_;  ///< exists when overlap_
+  /// Runs the particle exchange concurrently with the interior pass;
+  /// exists exactly on multi-rank runs.
+  std::unique_ptr<util::Worker> comm_worker_;
   StepTimings timings_;
   ParticleStats stats_;
   OverlapStats overlap_stats_;

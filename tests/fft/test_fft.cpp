@@ -57,7 +57,9 @@ TEST(Fft, SingleToneLandsInRightBin) {
   EXPECT_NEAR(std::abs(v[k0]), n / 2.0, 1e-9);
   EXPECT_NEAR(std::abs(v[n - k0]), n / 2.0, 1e-9);
   for (std::size_t k = 0; k < n; ++k) {
-    if (k != k0 && k != n - k0) EXPECT_NEAR(std::abs(v[k]), 0.0, 1e-9);
+    if (k != k0 && k != n - k0) {
+      EXPECT_NEAR(std::abs(v[k]), 0.0, 1e-9);
+    }
   }
 }
 

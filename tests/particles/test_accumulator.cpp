@@ -9,7 +9,7 @@
 namespace minivpic::particles {
 namespace {
 
-using testing::MiniPic;
+using testing::Pic;
 using testing::cube_grid;
 
 TEST(AccumulatorTest, LayoutIsOneCacheLine) {
@@ -37,7 +37,7 @@ double total_jx(const grid::FieldArray& f) {
 }
 
 TEST(AccumulatorTest, InCellCurrentMatchesQv) {
-  MiniPic pic(cube_grid(8, 0.5));
+  Pic pic(cube_grid(8, 0.5));
   Species sp("e", -1.0, 1.0);
   Particle p;
   p.i = pic.grid.voxel(4, 4, 4);
@@ -53,7 +53,7 @@ TEST(AccumulatorTest, InCellCurrentMatchesQv) {
 }
 
 TEST(AccumulatorTest, CrossingCurrentMatchesQv) {
-  MiniPic pic(cube_grid(8, 0.5));
+  Pic pic(cube_grid(8, 0.5));
   Species sp("e", -1.0, 1.0);
   Particle p;
   p.i = pic.grid.voxel(4, 4, 4);
@@ -72,7 +72,7 @@ TEST(AccumulatorTest, CrossingCurrentMatchesQv) {
 }
 
 TEST(AccumulatorTest, OppositeChargesCancel) {
-  MiniPic pic(cube_grid(8, 0.5));
+  Pic pic(cube_grid(8, 0.5));
   Species e("e", -1.0, 1.0);
   Species ion("i", +1.0, 1.0);
   Particle p;
@@ -86,7 +86,7 @@ TEST(AccumulatorTest, OppositeChargesCancel) {
 }
 
 TEST(AccumulatorTest, StationaryParticleDepositsNothing) {
-  MiniPic pic(cube_grid(8, 0.5));
+  Pic pic(cube_grid(8, 0.5));
   Species sp("e", -1.0, 1.0);
   Particle p;
   p.i = pic.grid.voxel(4, 4, 4);
@@ -106,7 +106,7 @@ TEST(AccumulatorTest, StationaryParticleDepositsNothing) {
 TEST(AccumulatorTest, DepositLandsOnAdjacentEdges) {
   // A particle at the center of cell (4,4,4) moving in +x deposits jx only
   // on that cell's four x-edges.
-  MiniPic pic(cube_grid(8, 0.5));
+  Pic pic(cube_grid(8, 0.5));
   Species sp("e", -1.0, 1.0);
   Particle p;
   p.i = pic.grid.voxel(4, 4, 4);

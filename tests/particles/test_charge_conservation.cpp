@@ -13,7 +13,7 @@
 namespace minivpic::particles {
 namespace {
 
-using testing::MiniPic;
+using testing::Pic;
 using testing::cube_grid;
 
 /// Gauss residual (div E - rho) at every interior node.
@@ -31,9 +31,9 @@ std::vector<double> gauss_residual(const grid::FieldArray& f) {
   return r;
 }
 
-/// rho must be deposited for the residual to mean anything; MiniPic::step
+/// rho must be deposited for the residual to mean anything; Pic::step
 /// already deposits rho for the post-push positions.
-double max_residual_drift(MiniPic& pic, std::vector<Species*> species,
+double max_residual_drift(Pic& pic, std::vector<Species*> species,
                           int steps) {
   // Establish the t=0 residual: deposit rho for the initial positions.
   pic.fields.clear_sources();
@@ -51,7 +51,7 @@ double max_residual_drift(MiniPic& pic, std::vector<Species*> species,
 }
 
 TEST(ChargeConservation, ColdRandomPlasma) {
-  MiniPic pic(cube_grid(6, 0.5));
+  Pic pic(cube_grid(6, 0.5));
   Species sp("e", -1.0, 1.0);
   LoadConfig cfg;
   cfg.ppc = 8;
@@ -62,7 +62,7 @@ TEST(ChargeConservation, ColdRandomPlasma) {
 }
 
 TEST(ChargeConservation, WarmPlasmaManyCrossings) {
-  MiniPic pic(cube_grid(6, 0.5));
+  Pic pic(cube_grid(6, 0.5));
   Species sp("e", -1.0, 1.0);
   LoadConfig cfg;
   cfg.ppc = 16;
@@ -72,7 +72,7 @@ TEST(ChargeConservation, WarmPlasmaManyCrossings) {
 }
 
 TEST(ChargeConservation, RelativisticBeam) {
-  MiniPic pic(cube_grid(6, 0.5));
+  Pic pic(cube_grid(6, 0.5));
   Species sp("e", -1.0, 1.0);
   LoadConfig cfg;
   cfg.ppc = 8;
@@ -83,7 +83,7 @@ TEST(ChargeConservation, RelativisticBeam) {
 }
 
 TEST(ChargeConservation, TwoSpeciesWithFields) {
-  MiniPic pic(cube_grid(6, 0.5));
+  Pic pic(cube_grid(6, 0.5));
   // Seed a nontrivial electromagnetic field so forces act on particles.
   Rng rng(3);
   for (int k = 1; k <= 6; ++k)
@@ -107,7 +107,7 @@ TEST(ChargeConservation, TwoSpeciesWithFields) {
 TEST(ChargeConservation, NeutralPairStartsGaussClean) {
   // Electrons and ions loaded with the same seed share positions, so the
   // initial rho vanishes node-by-node and E = 0 is self-consistent.
-  MiniPic pic(cube_grid(6, 0.5));
+  Pic pic(cube_grid(6, 0.5));
   Species electrons("e", -1.0, 1.0);
   Species ions("i", +1.0, 1836.0);
   LoadConfig cfg;
@@ -124,7 +124,7 @@ TEST(ChargeConservation, NeutralPairStartsGaussClean) {
 }
 
 TEST(ChargeConservation, TotalChargeInvariant) {
-  MiniPic pic(cube_grid(6, 0.5));
+  Pic pic(cube_grid(6, 0.5));
   Species sp("e", -1.0, 1.0);
   LoadConfig cfg;
   cfg.ppc = 8;

@@ -11,7 +11,7 @@
 namespace minivpic::particles {
 namespace {
 
-using testing::MultiPic;
+using testing::Pic;
 using testing::cube_grid;
 
 TEST(MigrateTest, SingleRankRejectsEmigrants) {
@@ -20,9 +20,10 @@ TEST(MigrateTest, SingleRankRejectsEmigrants) {
   Pusher pusher(g, periodic_particles());
   AccumulatorArray acc(g);
   std::vector<Emigrant> ghosts(1);
-  EXPECT_THROW(
-      migrate_particles(std::move(ghosts), sp, pusher, acc, g, nullptr),
-      Error);
+  std::vector<Particle> immigrants;
+  EXPECT_THROW(exchange_particles(std::move(ghosts), sp, pusher, acc.data(),
+                                  g, nullptr, &immigrants),
+               Error);
 }
 
 TEST(MigrateTest, EmptyMigrationIsCheapNoop) {
@@ -30,16 +31,38 @@ TEST(MigrateTest, EmptyMigrationIsCheapNoop) {
   Species sp("e", -1.0, 1.0);
   Pusher pusher(g, periodic_particles());
   AccumulatorArray acc(g);
-  const auto st = migrate_particles({}, sp, pusher, acc, g, nullptr);
+  std::vector<Particle> immigrants;
+  const auto st =
+      exchange_particles({}, sp, pusher, acc.data(), g, nullptr, &immigrants);
   EXPECT_EQ(st.sent, 0);
   EXPECT_EQ(st.rounds, 0);
+  EXPECT_TRUE(immigrants.empty());
+}
+
+TEST(MigrateTest, CompactMergesDeadListsThenAppendsImmigrants) {
+  // Removal is swap-with-last in descending merged order, so the survivors'
+  // layout is fixed by the two dead lists alone; immigrants go last.
+  Species sp("e", -1.0, 1.0);
+  for (int n = 0; n < 6; ++n) {
+    Particle p;
+    p.w = float(n);
+    sp.add(p);
+  }
+  Particle immigrant;
+  immigrant.w = 9.0f;
+  const std::vector<std::size_t> skin_dead{1, 4}, interior_dead{2};
+  const std::vector<Particle> immigrants{immigrant};
+  compact_species(sp, skin_dead, interior_dead, immigrants);
+  ASSERT_EQ(sp.size(), 4u);
+  const float expect[] = {0, 3, 5, 9};
+  for (std::size_t n = 0; n < sp.size(); ++n) EXPECT_EQ(sp[n].w, expect[n]);
 }
 
 TEST(MigrateTest, ParticleCrossesRankBoundary) {
   const auto gg = cube_grid(8, 0.5);
   vmpi::run(2, [&](vmpi::Comm& comm) {
     const vmpi::CartTopology topo({2, 1, 1}, {true, true, true});
-    MultiPic pic(gg, topo, comm);
+    Pic pic(gg, topo, comm);
     Species sp("e", -1.0, 1.0);
     double x0 = 0, v = 0;
     if (comm.rank() == 0) {
@@ -91,7 +114,7 @@ TEST(MigrateTest, PeriodicWrapAcrossRanks) {
   const auto gg = cube_grid(8, 0.5);
   vmpi::run(2, [&](vmpi::Comm& comm) {
     const vmpi::CartTopology topo({2, 1, 1}, {true, true, true});
-    MultiPic pic(gg, topo, comm);
+    Pic pic(gg, topo, comm);
     Species sp("e", -1.0, 1.0);
     if (comm.rank() == 1) {
       // Last cell of the global domain moving +x: wraps to rank 0.
@@ -104,8 +127,7 @@ TEST(MigrateTest, PeriodicWrapAcrossRanks) {
     }
     pic.step({&sp});
     const long long mine = (long long)sp.size();
-    if (comm.rank() == 0) EXPECT_EQ(mine, 1);
-    if (comm.rank() == 1) EXPECT_EQ(mine, 0);
+    EXPECT_EQ(mine, comm.rank() == 0 ? 1 : 0);
   });
 }
 
@@ -113,7 +135,7 @@ TEST(MigrateTest, CornerHopTakesTwoRounds) {
   const auto gg = cube_grid(8, 0.5);
   vmpi::run(4, [&](vmpi::Comm& comm) {
     const vmpi::CartTopology topo({2, 2, 1}, {true, true, true});
-    MultiPic pic(gg, topo, comm);
+    Pic pic(gg, topo, comm);
     Species sp("e", -1.0, 1.0);
     if (comm.rank() == 0) {
       // Top-right corner cell of rank 0's slab, aimed diagonally out.
@@ -132,7 +154,9 @@ TEST(MigrateTest, CornerHopTakesTwoRounds) {
         comm.allreduce_value<long long>((long long)sp.size(), vmpi::Op::kSum);
     EXPECT_EQ(total, 1);
     // It should end up on the diagonal rank (rank 3).
-    if (comm.rank() == 3) EXPECT_EQ(sp.size(), 1u);
+    if (comm.rank() == 3) {
+      EXPECT_EQ(sp.size(), 1u);
+    }
   });
 }
 
@@ -140,7 +164,7 @@ TEST(MigrateTest, PlasmaCountConservedOverManySteps) {
   const auto gg = cube_grid(8, 0.5);
   vmpi::run(2, [&](vmpi::Comm& comm) {
     const vmpi::CartTopology topo({2, 1, 1}, {true, true, true});
-    MultiPic pic(gg, topo, comm);
+    Pic pic(gg, topo, comm);
     Species sp("e", -1.0, 1.0);
     LoadConfig cfg;
     cfg.ppc = 8;
@@ -165,7 +189,7 @@ TEST(MigrateTest, GaussResidualInvariantAcrossRanks) {
   const auto gg = cube_grid(8, 0.5);
   vmpi::run(2, [&](vmpi::Comm& comm) {
     const vmpi::CartTopology topo({2, 1, 1}, {true, true, true});
-    MultiPic pic(gg, topo, comm);
+    Pic pic(gg, topo, comm);
     Species sp("e", -1.0, 1.0);
     LoadConfig cfg;
     cfg.ppc = 8;

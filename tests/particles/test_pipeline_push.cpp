@@ -18,59 +18,10 @@
 namespace minivpic::particles {
 namespace {
 
-using testing::MiniPic;
+using testing::Pic;
 using testing::cube_grid;
-
-/// MiniPic with the particle advance spread across a pipeline pool: the
-/// production step sequence (advance -> migrate -> reduce -> unload).
-struct PipelinePic {
-  PipelinePic(const grid::GlobalGrid& gg, int n_pipelines,
-              const ParticleBcSpec& pbc = periodic_particles())
-      : pool(n_pipelines),
-        grid(gg),
-        fields(grid),
-        halo(grid, nullptr),
-        solver(grid, &halo),
-        interp(grid),
-        acc(grid, n_pipelines),
-        pusher(grid, pbc) {
-    solver.boundary().capture(fields);
-  }
-
-  Pusher::Result step(std::vector<Species*> species) {
-    interp.load(fields);
-    acc.clear();
-    fields.clear_sources();
-    Pusher::Result total;
-    for (Species* sp : species) {
-      auto r = pusher.advance(*sp, interp, acc, &pool);
-      total.pushed += r.pushed;
-      total.crossings += r.crossings;
-      total.absorbed += r.absorbed;
-      total.reflected += r.reflected;
-      total.refluxed += r.refluxed;
-      migrate_particles(std::move(r.emigrants), *sp, pusher, acc, grid,
-                        nullptr);
-    }
-    acc.reduce();
-    acc.unload(fields);
-    for (Species* sp : species) accumulate_rho(*sp, fields);
-    halo.reduce_sources(fields);
-    solver.advance_b(fields, 0.5);
-    solver.advance_e(fields);
-    solver.advance_b(fields, 0.5);
-    return total;
-  }
-
-  Pipeline pool;
-  grid::LocalGrid grid;
-  grid::FieldArray fields;
-  grid::Halo halo;
-  field::FieldSolver solver;
-  InterpolatorArray interp;
-  AccumulatorArray acc;
-  Pusher pusher;
-};
+using testing::j_close;
+using testing::j_identical;
 
 /// Loads counter-streaming electron beams (the two-stream setup): same
 /// deterministic loader seed in both harnesses gives identical particles.
@@ -84,63 +35,13 @@ void load_two_stream(Species& a, Species& b, const grid::LocalGrid& g) {
   load_uniform(b, g, cfg);
 }
 
-/// True when every interior J component matches bit-for-bit.
-::testing::AssertionResult j_identical(const grid::FieldArray& a,
-                                       const grid::FieldArray& b) {
-  const auto& g = a.grid();
-  for (int k = 0; k <= g.nz() + 1; ++k)
-    for (int j = 0; j <= g.ny() + 1; ++j)
-      for (int i = 0; i <= g.nx() + 1; ++i) {
-        if (a.jfx(i, j, k) != b.jfx(i, j, k) ||
-            a.jfy(i, j, k) != b.jfy(i, j, k) ||
-            a.jfz(i, j, k) != b.jfz(i, j, k))
-          return ::testing::AssertionFailure()
-                 << "J differs at (" << i << "," << j << "," << k << "): ("
-                 << a.jfx(i, j, k) << "," << a.jfy(i, j, k) << ","
-                 << a.jfz(i, j, k) << ") vs (" << b.jfx(i, j, k) << ","
-                 << b.jfy(i, j, k) << "," << b.jfz(i, j, k) << ")";
-      }
-  return ::testing::AssertionSuccess();
-}
-
-/// True when every J component matches to `rel` times the grid-wide max
-/// |J|. Rounding differences scale with the *deposit* magnitudes, so a
-/// per-cell relative test would spuriously fail in near-cancellation cells
-/// (counter-streaming currents summing to ~0).
-::testing::AssertionResult j_close(const grid::FieldArray& a,
-                                   const grid::FieldArray& b, double rel) {
-  const auto& g = a.grid();
-  double max_abs = 0;
-  for (int k = 0; k <= g.nz() + 1; ++k)
-    for (int j = 0; j <= g.ny() + 1; ++j)
-      for (int i = 0; i <= g.nx() + 1; ++i)
-        max_abs = std::max({max_abs, std::abs(double(a.jfx(i, j, k))),
-                            std::abs(double(a.jfy(i, j, k))),
-                            std::abs(double(a.jfz(i, j, k)))});
-  const double tol = rel * std::max(max_abs, 1e-12);
-  for (int k = 0; k <= g.nz() + 1; ++k)
-    for (int j = 0; j <= g.ny() + 1; ++j)
-      for (int i = 0; i <= g.nx() + 1; ++i) {
-        const double comps[3][2] = {{a.jfx(i, j, k), b.jfx(i, j, k)},
-                                    {a.jfy(i, j, k), b.jfy(i, j, k)},
-                                    {a.jfz(i, j, k), b.jfz(i, j, k)}};
-        for (const auto& c : comps)
-          if (std::abs(c[0] - c[1]) > tol)
-            return ::testing::AssertionFailure()
-                   << "J differs at (" << i << "," << j << "," << k
-                   << "): " << c[0] << " vs " << c[1] << " (tol " << tol
-                   << ")";
-      }
-  return ::testing::AssertionSuccess();
-}
-
 TEST(PipelinePushTest, SparseDepositMatchesSerialBitwise) {
   // When no cell collects more than one deposit per accumulator block, the
   // in-order block fold reproduces the serial per-cell addition sequence
   // exactly — this is ==, not EXPECT_NEAR. Eight slow particles in eight
   // well-separated cells, two per pipeline.
-  MiniPic serial(cube_grid(8, 0.5));
-  PipelinePic piped(cube_grid(8, 0.5), 4);
+  Pic serial(cube_grid(8, 0.5));
+  Pic piped(cube_grid(8, 0.5), periodic_particles(), 4);
   auto load = [](Species& sp, const grid::LocalGrid& g) {
     int n = 0;
     for (int c = 1; c <= 8; ++c) {
@@ -174,8 +75,8 @@ TEST(PipelinePushTest, DenseTwoStreamMatchesSerialToRounding) {
   // Dense deck: cells collect many deposits per block, so the fold rounds
   // in a different order than the serial running sum — agreement is to
   // float rounding (ULPs per cell), with counters still exact.
-  MiniPic serial(cube_grid(8, 0.5));
-  PipelinePic piped(cube_grid(8, 0.5), 4);
+  Pic serial(cube_grid(8, 0.5));
+  Pic piped(cube_grid(8, 0.5), periodic_particles(), 4);
   Species se("e+", -1.0, 1.0), sb("e-", -1.0, 1.0);
   Species pe("e+", -1.0, 1.0), pb("e-", -1.0, 1.0);
   load_two_stream(se, sb, serial.grid);
@@ -216,8 +117,8 @@ TEST(PipelinePushTest, AbsorbingWallCountersMatchSerial) {
   // in particle order, so even the removal sequence matches serial.
   auto gg = cube_grid(8, 0.5);
   gg.boundary = grid::lpi_boundaries();
-  MiniPic serial(gg, lpi_particles());
-  PipelinePic piped(gg, 4, lpi_particles());
+  Pic serial(gg, lpi_particles());
+  Pic piped(gg, lpi_particles(), 4);
   Species ss("e", -1.0, 1.0), sp("e", -1.0, 1.0);
   LoadConfig cfg;
   cfg.ppc = 8;
@@ -244,7 +145,7 @@ TEST(PipelinePushTest, ChargeConservedAtNPipelines) {
   // div E - rho stays a constant of the motion when the deposit is split
   // across pipelines (the private-block fold must not drop or double count
   // any quadrant flux).
-  PipelinePic pic(cube_grid(6, 0.5), 4);
+  Pic pic(cube_grid(6, 0.5), periodic_particles(), 4);
   Species sp("e", -1.0, 1.0);
   LoadConfig cfg;
   cfg.ppc = 16;
@@ -295,7 +196,7 @@ TEST(PipelinePushTest, RefluxStatisticsMatchSerial) {
 
   const double uth = 0.3;
   auto run = [&](int pipelines, std::int64_t* refluxed, double* ke) {
-    PipelinePic pic(gg, pipelines, bc);
+    Pic pic(gg, bc, pipelines);
     pic.pusher.set_reflux_uth(uth);
     Species sp("e", -1.0, 1.0);
     LoadConfig cfg;
@@ -319,13 +220,15 @@ TEST(PipelinePushTest, RefluxStatisticsMatchSerial) {
 }
 
 TEST(PipelinePushTest, AdvanceRequiresOneBlockPerPipeline) {
-  MiniPic pic(cube_grid(4, 0.5));  // acc has a single block
+  Pic pic(cube_grid(4, 0.5));  // acc has a single block
   Species sp("e", -1.0, 1.0);
   LoadConfig cfg;
   cfg.ppc = 2;
   load_uniform(sp, pic.grid, cfg);
   Pipeline pool(3);
-  EXPECT_THROW(pic.pusher.advance(sp, pic.interp, pic.acc, &pool), Error);
+  EXPECT_THROW(pic.pusher.advance_skin(sp, pic.interp, pic.acc, &pool), Error);
+  EXPECT_THROW(pic.pusher.advance_interior(sp, pic.interp, pic.acc, &pool),
+               Error);
 }
 
 }  // namespace

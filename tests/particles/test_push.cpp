@@ -12,7 +12,7 @@
 namespace minivpic::particles {
 namespace {
 
-using testing::MiniPic;
+using testing::Pic;
 using testing::cube_grid;
 
 /// Fills every voxel (ghosts included) with uniform fields.
@@ -51,7 +51,7 @@ Particle test_particle(const grid::LocalGrid& g, int ci, int cj, int ck,
 }
 
 TEST(PushTest, FreeStreamingAdvancesAtVdt) {
-  MiniPic pic(cube_grid(8, 0.5));
+  Pic pic(cube_grid(8, 0.5));
   Species sp("e", -1.0, 1.0);
   const float ux = 0.5f;
   sp.add(test_particle(pic.grid, 2, 4, 4, ux, 0, 0));
@@ -66,7 +66,7 @@ TEST(PushTest, FreeStreamingAdvancesAtVdt) {
 }
 
 TEST(PushTest, CellCrossingsCountedAndPositionExact) {
-  MiniPic pic(cube_grid(8, 0.5));
+  Pic pic(cube_grid(8, 0.5));
   Species sp("e", -1.0, 1.0);
   const float ux = 2.0f;  // v ~ 0.894c; crosses a cell in ~2 steps
   sp.add(test_particle(pic.grid, 2, 4, 4, ux, 0, 0));
@@ -81,7 +81,7 @@ TEST(PushTest, CellCrossingsCountedAndPositionExact) {
 }
 
 TEST(PushTest, PeriodicWrapKeepsParticleInDomain) {
-  MiniPic pic(cube_grid(4, 0.5));
+  Pic pic(cube_grid(4, 0.5));
   Species sp("e", -1.0, 1.0);
   sp.add(test_particle(pic.grid, 4, 2, 2, 3.0f, 0, 0));
   for (int s = 0; s < 40; ++s) pic.step({&sp});
@@ -93,7 +93,7 @@ TEST(PushTest, PeriodicWrapKeepsParticleInDomain) {
 
 TEST(PushTest, UniformEImpulseExact) {
   // With pure E the two half kicks sum to exactly q E dt per step.
-  MiniPic pic(cube_grid(8, 0.5));
+  Pic pic(cube_grid(8, 0.5));
   set_uniform_fields(pic.fields, 0.01f, 0, 0, 0, 0, 0);
   Species sp("e", -1.0, 1.0);
   sp.add(test_particle(pic.grid, 4, 4, 4, 0, 0, 0));
@@ -106,7 +106,7 @@ TEST(PushTest, UniformEImpulseExact) {
 
 TEST(PushTest, RelativisticConstantForce) {
   // Momentum grows linearly in lab time even relativistically.
-  MiniPic pic(cube_grid(8, 0.5));
+  Pic pic(cube_grid(8, 0.5));
   set_uniform_fields(pic.fields, 0, -0.5f, 0, 0, 0, 0);  // strong E_y
   Species sp("e", -1.0, 1.0);
   sp.add(test_particle(pic.grid, 4, 4, 4, 0, 0, 0));
@@ -118,7 +118,7 @@ TEST(PushTest, RelativisticConstantForce) {
 }
 
 TEST(PushTest, GyrationConservesEnergy) {
-  MiniPic pic(cube_grid(8, 0.5));
+  Pic pic(cube_grid(8, 0.5));
   set_uniform_fields(pic.fields, 0, 0, 0, 0, 0, 0.2f);
   Species sp("e", -1.0, 1.0);
   sp.add(test_particle(pic.grid, 4, 4, 4, 0.3f, 0, 0));
@@ -133,7 +133,7 @@ TEST(PushTest, GyrationConservesEnergy) {
 }
 
 TEST(PushTest, GyrationFrequencyMatchesRelativisticCyclotron) {
-  MiniPic pic(cube_grid(8, 0.5));
+  Pic pic(cube_grid(8, 0.5));
   const float b0 = 0.15f;
   set_uniform_fields(pic.fields, 0, 0, 0, 0, 0, b0);
   Species sp("e", -1.0, 1.0);
@@ -161,7 +161,7 @@ TEST(PushTest, GyrationFrequencyMatchesRelativisticCyclotron) {
 }
 
 TEST(PushTest, ExBDriftVelocity) {
-  MiniPic pic(cube_grid(8, 1.0));
+  Pic pic(cube_grid(8, 1.0));
   const float e0 = 0.02f, b0 = 0.2f;
   set_uniform_fields(pic.fields, 0, e0, 0, 0, 0, b0);
   Species sp("e", -1.0, 1.0);
@@ -195,7 +195,7 @@ TEST(PushTest, ReflectingWallBouncesParticle) {
   ParticleBcSpec pbc = periodic_particles();
   pbc[grid::kFaceXLo] = ParticleBc::kReflect;
   pbc[grid::kFaceXHi] = ParticleBc::kReflect;
-  MiniPic pic(gg, pbc);
+  Pic pic(gg, pbc);
   Species sp("e", -1.0, 1.0);
   sp.add(test_particle(pic.grid, 2, 4, 4, -1.5f, 0.1f, 0));
   std::int64_t reflected = 0;
@@ -212,7 +212,7 @@ TEST(PushTest, ReflectingWallBouncesParticle) {
 TEST(PushTest, AbsorbingWallRemovesParticle) {
   auto gg = cube_grid(8, 0.5);
   gg.boundary = grid::lpi_boundaries();
-  MiniPic pic(gg, lpi_particles());
+  Pic pic(gg, lpi_particles());
   Species sp("e", -1.0, 1.0);
   sp.add(test_particle(pic.grid, 7, 4, 4, 2.0f, 0, 0));   // heads for +x wall
   sp.add(test_particle(pic.grid, 4, 4, 4, 0.0f, 0.1f, 0));  // stays
@@ -239,7 +239,7 @@ TEST(PushTest, BcValidation) {
 
 TEST(PushTest, DiagonalCornerCrossing) {
   // A particle aimed at a cell corner crosses three faces in one step.
-  MiniPic pic(cube_grid(4, 0.5));
+  Pic pic(cube_grid(4, 0.5));
   Species sp("e", -1.0, 1.0);
   Particle p = test_particle(pic.grid, 2, 2, 2, 4.0f, 4.0f, 4.0f);
   p.dx = p.dy = p.dz = 0.9f;
@@ -252,7 +252,7 @@ TEST(PushTest, DiagonalCornerCrossing) {
 }
 
 TEST(PushTest, CenterUncenterRoundTrip) {
-  MiniPic pic(cube_grid(8, 0.5));
+  Pic pic(cube_grid(8, 0.5));
   set_uniform_fields(pic.fields, 0.01f, -0.02f, 0.005f, 0.1f, 0.05f, -0.08f);
   pic.interp.load(pic.fields);
   Species sp("e", -1.0, 1.0);

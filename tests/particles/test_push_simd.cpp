@@ -28,8 +28,10 @@
 namespace minivpic::particles {
 namespace {
 
-using testing::MiniPic;
+using testing::Pic;
 using testing::cube_grid;
+using testing::j_close;
+using testing::j_identical;
 
 // ---- registry -------------------------------------------------------------
 
@@ -72,7 +74,7 @@ TEST(KernelRegistryTest, ScalarHasNoSimdEntry) {
 }
 
 TEST(KernelRegistryTest, PusherValidatesKernelChoice) {
-  MiniPic pic(cube_grid(4, 0.5));
+  Pic pic(cube_grid(4, 0.5));
   EXPECT_EQ(pic.pusher.kernel(), Kernel::kScalar);  // library default
   pic.pusher.set_kernel(Kernel::kAuto);
   EXPECT_NE(pic.pusher.kernel(), Kernel::kAuto);
@@ -126,54 +128,7 @@ std::int64_t ulp_diff(float a, float b) {
   return ::testing::AssertionSuccess();
 }
 
-::testing::AssertionResult j_identical(const grid::FieldArray& a,
-                                       const grid::FieldArray& b) {
-  const auto& g = a.grid();
-  for (int k = 0; k <= g.nz() + 1; ++k)
-    for (int j = 0; j <= g.ny() + 1; ++j)
-      for (int i = 0; i <= g.nx() + 1; ++i) {
-        if (a.jfx(i, j, k) != b.jfx(i, j, k) ||
-            a.jfy(i, j, k) != b.jfy(i, j, k) ||
-            a.jfz(i, j, k) != b.jfz(i, j, k))
-          return ::testing::AssertionFailure()
-                 << "J differs at (" << i << "," << j << "," << k << "): ("
-                 << a.jfx(i, j, k) << "," << a.jfy(i, j, k) << ","
-                 << a.jfz(i, j, k) << ") vs (" << b.jfx(i, j, k) << ","
-                 << b.jfy(i, j, k) << "," << b.jfz(i, j, k) << ")";
-      }
-  return ::testing::AssertionSuccess();
-}
-
-/// J agreement to `rel` x grid-wide max |J| (see test_pipeline_push.cpp for
-/// why the tolerance is global, not per cell).
-::testing::AssertionResult j_close(const grid::FieldArray& a,
-                                   const grid::FieldArray& b, double rel) {
-  const auto& g = a.grid();
-  double max_abs = 0;
-  for (int k = 0; k <= g.nz() + 1; ++k)
-    for (int j = 0; j <= g.ny() + 1; ++j)
-      for (int i = 0; i <= g.nx() + 1; ++i)
-        max_abs = std::max({max_abs, std::abs(double(a.jfx(i, j, k))),
-                            std::abs(double(a.jfy(i, j, k))),
-                            std::abs(double(a.jfz(i, j, k)))});
-  const double tol = rel * std::max(max_abs, 1e-12);
-  for (int k = 0; k <= g.nz() + 1; ++k)
-    for (int j = 0; j <= g.ny() + 1; ++j)
-      for (int i = 0; i <= g.nx() + 1; ++i) {
-        const double comps[3][2] = {{a.jfx(i, j, k), b.jfx(i, j, k)},
-                                    {a.jfy(i, j, k), b.jfy(i, j, k)},
-                                    {a.jfz(i, j, k), b.jfz(i, j, k)}};
-        for (const auto& c : comps)
-          if (std::abs(c[0] - c[1]) > tol)
-            return ::testing::AssertionFailure()
-                   << "J differs at (" << i << "," << j << "," << k
-                   << "): " << c[0] << " vs " << c[1] << " (tol " << tol
-                   << ")";
-      }
-  return ::testing::AssertionSuccess();
-}
-
-void expect_counters_eq(const Pusher::Result& s, const Pusher::Result& v,
+void expect_counters_eq(const Pic::StepStats& s, const Pic::StepStats& v,
                         int step) {
   EXPECT_EQ(s.pushed, v.pushed) << "step " << step;
   EXPECT_EQ(s.crossings, v.crossings) << "step " << step;
@@ -203,8 +158,8 @@ TEST_P(SimdEquivalenceTest, WarmInCellMatchesScalar) {
   // The acceptance workload: warm plasma, most lanes stay in-cell. The
   // 1-pipeline deposit order matches serial exactly, so J must be
   // bit-identical even though cells collect many deposits.
-  MiniPic ref(cube_grid(8, 0.5));
-  MiniPic vec(cube_grid(8, 0.5));
+  Pic ref(cube_grid(8, 0.5));
+  Pic vec(cube_grid(8, 0.5));
   vec.pusher.set_kernel(GetParam());
   Species a("e", -1.0, 1.0), b("e", -1.0, 1.0);
   LoadConfig cfg;
@@ -226,8 +181,8 @@ TEST_P(SimdEquivalenceTest, RemainderBatchMatchesScalar) {
   // scalar remainder path. Also covers n < W (whole slice is remainder).
   const int W = kernel_lane_width(GetParam());
   for (const int count : {3, 2 * W + 3, W + 1}) {
-    MiniPic ref(cube_grid(6, 0.5));
-    MiniPic vec(cube_grid(6, 0.5));
+    Pic ref(cube_grid(6, 0.5));
+    Pic vec(cube_grid(6, 0.5));
     vec.pusher.set_kernel(GetParam());
     Species a("e", -1.0, 1.0), b("e", -1.0, 1.0);
     Rng rng(97);
@@ -258,8 +213,8 @@ TEST_P(SimdEquivalenceTest, RemainderBatchMatchesScalar) {
 TEST_P(SimdEquivalenceTest, AllLanesCrossingMatchesScalar) {
   // Every lane takes the move_p spill path (in_bits == 0): fast particles
   // launched from cell centers cross at least one face per step.
-  MiniPic ref(cube_grid(8, 0.5));
-  MiniPic vec(cube_grid(8, 0.5));
+  Pic ref(cube_grid(8, 0.5));
+  Pic vec(cube_grid(8, 0.5));
   vec.pusher.set_kernel(GetParam());
   const int W = kernel_lane_width(GetParam());
   const int count = 2 * W + W / 2;  // full batches + remainder, all crossing
@@ -293,8 +248,8 @@ TEST_P(SimdEquivalenceTest, AbsorbingWallMatchesScalar) {
   // surviving particle order — matches scalar exactly.
   auto gg = cube_grid(8, 0.5);
   gg.boundary = grid::lpi_boundaries();
-  MiniPic ref(gg, lpi_particles());
-  MiniPic vec(gg, lpi_particles());
+  Pic ref(gg, lpi_particles());
+  Pic vec(gg, lpi_particles());
   vec.pusher.set_kernel(GetParam());
   Species a("e", -1.0, 1.0), b("e", -1.0, 1.0);
   LoadConfig cfg;
@@ -323,8 +278,8 @@ TEST_P(SimdEquivalenceTest, RefluxDrawsMatchScalarExactly) {
   ParticleBcSpec bc = periodic_particles();
   bc[grid::kFaceXLo] = ParticleBc::kReflux;
   bc[grid::kFaceXHi] = ParticleBc::kReflux;
-  MiniPic ref(gg, bc);
-  MiniPic vec(gg, bc);
+  Pic ref(gg, bc);
+  Pic vec(gg, bc);
   vec.pusher.set_kernel(GetParam());
   const double uth = 0.3;
   ref.pusher.set_reflux_uth(uth);
@@ -353,41 +308,8 @@ TEST_P(SimdEquivalenceTest, PipelinedSimdMatchesSerialScalar) {
   // batches, and the block fold reorders per-cell adds — so this asserts
   // the documented contract (exact counters, rounding-level J), not bit
   // equality.
-  struct PipelinePic {
-    PipelinePic(const grid::GlobalGrid& gg, int n)
-        : pool(n), grid(gg), fields(grid), halo(grid, nullptr),
-          solver(grid, &halo), interp(grid), acc(grid, n),
-          pusher(grid, periodic_particles()) {
-      solver.boundary().capture(fields);
-    }
-    Pusher::Result step(Species& sp) {
-      interp.load(fields);
-      acc.clear();
-      fields.clear_sources();
-      auto r = pusher.advance(sp, interp, acc, &pool);
-      migrate_particles(std::move(r.emigrants), sp, pusher, acc, grid,
-                        nullptr);
-      acc.reduce();
-      acc.unload(fields);
-      accumulate_rho(sp, fields);
-      halo.reduce_sources(fields);
-      solver.advance_b(fields, 0.5);
-      solver.advance_e(fields);
-      solver.advance_b(fields, 0.5);
-      return r;
-    }
-    Pipeline pool;
-    grid::LocalGrid grid;
-    grid::FieldArray fields;
-    grid::Halo halo;
-    field::FieldSolver solver;
-    InterpolatorArray interp;
-    AccumulatorArray acc;
-    Pusher pusher;
-  };
-
-  MiniPic ref(cube_grid(8, 0.5));
-  PipelinePic vec(cube_grid(8, 0.5), 3);
+  Pic ref(cube_grid(8, 0.5));
+  Pic vec(cube_grid(8, 0.5), periodic_particles(), 3);
   vec.pusher.set_kernel(GetParam());
   Species a("e", -1.0, 1.0), b("e", -1.0, 1.0);
   LoadConfig cfg;
@@ -397,7 +319,7 @@ TEST_P(SimdEquivalenceTest, PipelinedSimdMatchesSerialScalar) {
   load_uniform(b, vec.grid, cfg);
   for (int s = 0; s < 4; ++s) {
     const auto rs = ref.step({&a});
-    const auto rv = vec.step(b);
+    const auto rv = vec.step({&b});
     EXPECT_EQ(rs.pushed, rv.pushed) << "step " << s;
     EXPECT_EQ(rs.crossings, rv.crossings) << "step " << s;
     ASSERT_TRUE(j_close(ref.fields, vec.fields, 1e-4)) << "step " << s;

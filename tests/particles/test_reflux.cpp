@@ -9,7 +9,7 @@
 namespace minivpic::particles {
 namespace {
 
-using testing::MiniPic;
+using testing::Pic;
 using testing::cube_grid;
 
 grid::GlobalGrid slab_grid() {
@@ -26,7 +26,7 @@ ParticleBcSpec reflux_x() {
 }
 
 TEST(RefluxTest, WallTemperatureRequiredWhenHit) {
-  MiniPic pic(slab_grid(), reflux_x());
+  Pic pic(slab_grid(), reflux_x());
   Species sp("e", -1.0, 1.0);
   Particle p;
   p.i = pic.grid.voxel(8, 4, 4);
@@ -44,7 +44,7 @@ TEST(RefluxTest, WallTemperatureRequiredWhenHit) {
 }
 
 TEST(RefluxTest, ConservesParticleCount) {
-  MiniPic pic(slab_grid(), reflux_x());
+  Pic pic(slab_grid(), reflux_x());
   pic.pusher.set_reflux_uth(0.1);
   Species sp("e", -1.0, 1.0);
   LoadConfig cfg;
@@ -62,7 +62,7 @@ TEST(RefluxTest, ConservesParticleCount) {
 }
 
 TEST(RefluxTest, ReemittedInward) {
-  MiniPic pic(slab_grid(), reflux_x());
+  Pic pic(slab_grid(), reflux_x());
   pic.pusher.set_reflux_uth(0.05);
   Species sp("e", -1.0, 1.0);
   Particle p;
@@ -87,7 +87,7 @@ TEST(RefluxTest, ReemittedInward) {
 TEST(RefluxTest, WallKeepsPlasmaThermal) {
   // A bounded thermal plasma in contact with same-temperature walls must
   // stay near its temperature (no wall heating/cooling pathology).
-  MiniPic pic(slab_grid(), reflux_x());
+  Pic pic(slab_grid(), reflux_x());
   const double uth = 0.15;
   Species sp("e", -1.0, 1.0);
   LoadConfig cfg;
@@ -109,7 +109,7 @@ TEST(RefluxTest, VersusAbsorbKeepsDensity) {
     ParticleBcSpec bc = periodic_particles();
     bc[grid::kFaceXLo] = wall;
     bc[grid::kFaceXHi] = wall;
-    MiniPic pic(slab_grid(), bc);
+    Pic pic(slab_grid(), bc);
     pic.pusher.set_reflux_uth(0.3);
     Species sp("e", -1.0, 1.0);
     LoadConfig cfg;

@@ -29,7 +29,7 @@
 namespace minivpic::particles {
 namespace {
 
-using testing::MiniPic;
+using testing::Pic;
 using testing::cube_grid;
 
 void fill_random(Species& sp, const grid::LocalGrid& g, int n, int cells,
@@ -121,7 +121,7 @@ TEST(SortTest, PipelinedMatchesSerial) {
 TEST(SortTest, SortedVsUnsortedSingleStepBitParityPerKernel) {
   for (const Kernel kernel : available_kernels()) {
     const auto gg = cube_grid(6, 0.5, 0.05);
-    MiniPic sorted_pic(gg), shuffled_pic(gg);
+    Pic sorted_pic(gg), shuffled_pic(gg);
     for (int k = 0; k <= 7; ++k)
       for (int j = 0; j <= 7; ++j)
         for (int i = 0; i <= 7; ++i) {
@@ -159,7 +159,7 @@ TEST(SortTest, SortedVsUnsortedSingleStepBitParityPerKernel) {
 // depend on rounding (pushed) stay exact.
 TEST(SortTest, SortedVsUnsortedMultiStepEnergyParity) {
   const auto gg = cube_grid(6, 0.5, 0.05);
-  MiniPic sorted_pic(gg), shuffled_pic(gg);
+  Pic sorted_pic(gg), shuffled_pic(gg);
   for (int i = 0; i <= 7; ++i)
     for (int j = 0; j <= 7; ++j)
       for (int k = 0; k <= 7; ++k) {
@@ -194,7 +194,7 @@ TEST(SortTest, SortAfterMigrationWithReflux) {
   bc[grid::kFaceXHi] = ParticleBc::kReflux;
   auto gg = cube_grid(4, 0.5, 0.1);
   gg.boundary = grid::lpi_boundaries();  // field walls to match the reflux BC
-  MiniPic pic(gg, bc);
+  Pic pic(gg, bc);
   pic.pusher.set_reflux_uth(0.2);
 
   Species sp("e", -1.0, 1.0);

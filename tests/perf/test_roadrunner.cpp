@@ -91,7 +91,7 @@ TEST(RoadrunnerModelTest, ConfigValidation) {
   cfg.spe_push_efficiency = 0;
   EXPECT_THROW(RoadrunnerModel{cfg}, Error);
   cfg = {};
-  cfg.sort_period = 0;
+  cfg.sort_every = 0;
   EXPECT_THROW(RoadrunnerModel{cfg}, Error);
   cfg = {};
   cfg.flops_per_particle = -5;

@@ -36,7 +36,7 @@ slab_x0 = 2.0  slab_x1 = 10.0
 omega0 = 3.16  a0 = 0.1  ramp = 5  plane = 2
 
 [control]
-sort_period = 10  clean_period = 25
+sort_every = 10  clean_period = 25
 )";
 
 TEST(DeckIoTest, ParsesFullLpiDeck) {
@@ -57,22 +57,11 @@ TEST(DeckIoTest, ParsesFullLpiDeck) {
   EXPECT_EQ(d.species[0].load.profile(5.0, 0, 0), 1.0);
   ASSERT_TRUE(d.laser.has_value());
   EXPECT_DOUBLE_EQ(d.laser->a0, 0.1);
-  EXPECT_EQ(d.sort_period, 10);
+  EXPECT_EQ(d.sort_every, 10);
   EXPECT_EQ(d.clean_period, 25);
   // [control] without a kernel key defaults to auto (deck files are the
   // production front end; the Deck struct default stays scalar).
   EXPECT_EQ(d.kernel, particles::Kernel::kAuto);
-  // Likewise without an overlap key: auto, resolved at Simulation build.
-  EXPECT_EQ(d.overlap, Deck::Overlap::kAuto);
-}
-
-TEST(DeckIoTest, OverlapModeParses) {
-  const char* tmpl = "[grid]\nnx = 8\n[species e]\nq=-1 m=1 ppc=1 uth=0.01\n"
-                     "[control]\noverlap = ";
-  EXPECT_EQ(parse(std::string(tmpl) + "on").overlap, Deck::Overlap::kOn);
-  EXPECT_EQ(parse(std::string(tmpl) + "off").overlap, Deck::Overlap::kOff);
-  EXPECT_EQ(parse(std::string(tmpl) + "auto").overlap, Deck::Overlap::kAuto);
-  EXPECT_THROW(parse(std::string(tmpl) + "sometimes"), Error);
 }
 
 TEST(DeckIoTest, KernelKey) {
@@ -150,9 +139,17 @@ ppc = 2
 }
 
 TEST(DeckIoTest, ErrorsAreSpecific) {
-  // Unknown key.
+  // Unknown key, including the retired [control] overlap switch and the
+  // retired sort_period spelling of sort_every.
   EXPECT_THROW(parse("[grid]\nnx = 4\nbogus = 1\n[species e]\nppc=1\n"),
                Error);
+  for (const char* retired : {"overlap = on", "sort_period = 10"}) {
+    EXPECT_THROW(parse(std::string("[grid]\nnx = 4\n[species e]\nppc=1\n"
+                                   "[control]\n") +
+                       retired + "\n"),
+                 Error)
+        << retired;
+  }
   // Unknown section.
   EXPECT_THROW(parse("[grid]\nnx=4\n[warp drive]\n"), Error);
   // Key before section.
@@ -228,8 +225,8 @@ TEST(DeckOverrideTest, OverrideCreatesSingletonSectionOnDemand) {
   // A deck with no [control] section still accepts control overrides.
   DeckSource src = DeckSource::from_text(
       "[grid]\nnx = 8\n[species e]\nq = -1\nm = 1\nppc = 2\n");
-  src.apply_override("control.sort_period", "5");
-  EXPECT_EQ(src.build().sort_period, 5);
+  src.apply_override("control.sort_every", "5");
+  EXPECT_EQ(src.build().sort_every, 5);
 }
 
 TEST(DeckSourceTest, CampaignSectionCarriedButIgnoredByBuild) {

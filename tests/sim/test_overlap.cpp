@@ -1,9 +1,11 @@
-// The overlapped step loop's determinism contract (docs/OVERLAP.md): the
-// barriered and overlapped schedules run the same two-pass particle
-// advance (skin cells, then interior) and the same exchange sequence, so
-// at any rank and pipeline count the final fields, particles, and counters
-// must be bit-identical — overlap changes only *when* the exchange runs,
-// never what it computes. Plus the overlap ledger's accounting identities
+// The step loop's determinism contract (docs/OVERLAP.md): multi-rank runs
+// exchange migrating particles on a comm worker while the interior pass
+// advances, yet the removals and immigrant appends are deferred until both
+// finish, so *when* the exchange completes never changes what the step
+// computes. The schedule-independence test holds exchanges past the
+// interior pass with vmpi delay noise and requires the final fields,
+// particles, and counters to match an undelayed run bit for bit, at any
+// rank and pipeline count. Plus the overlap ledger's accounting identities
 // and the capstone: injected faults mid-overlap recover bit-identically.
 #include <gtest/gtest.h>
 
@@ -28,11 +30,15 @@ constexpr int kSteps = 16;
 /// Two-stream beams with refluxing x walls: lots of cell crossings, steady
 /// inter-rank migration when decomposed along x, and wall refluxes drawing
 /// from the per-pipeline RNG streams — every mechanism whose ordering the
-/// overlap contract pins down.
-Deck overlap_deck(int pipelines, Deck::Overlap overlap) {
+/// schedule-independence contract pins down. The beams are hot enough that
+/// each one migrates through both x faces of a middle rank every step, so
+/// the immigrant order would expose an exchange that handled faces in
+/// arrival order.
+Deck overlap_deck(int pipelines) {
   Deck deck = two_stream_deck(/*cells=*/32, /*ppc=*/8);
   deck.pipelines = pipelines;
-  deck.overlap = overlap;
+  for (SpeciesConfig& sc : deck.species)
+    if (sc.mobile) sc.load.uth = 0.1;
   deck.grid.boundary = grid::lpi_boundaries();  // absorbing x field walls
   deck.particle_bc[grid::kFaceXLo] = particles::ParticleBc::kReflux;
   deck.particle_bc[grid::kFaceXHi] = particles::ParticleBc::kReflux;
@@ -110,29 +116,44 @@ void expect_bit_identical(const Snapshot& a, const Snapshot& b,
   }
 }
 
-void run_mode(int ranks, int pipelines, Deck::Overlap overlap,
-              Snapshot* snap) {
+/// Runs the overlap deck for kSteps on `ranks` x 1 x 1 ranks; a non-null
+/// `plane` injects its faults into the world's messages.
+void run_world(int ranks, int pipelines, vmpi::FaultPlane* plane,
+               Snapshot* snap) {
   snap->ranks.resize(std::size_t(ranks));
-  const Deck deck = overlap_deck(pipelines, overlap);
-  vmpi::run(ranks, [&](vmpi::Comm& comm) {
-    const vmpi::CartTopology topo({ranks, 1, 1}, {true, true, true});
-    Simulation sim(deck, &comm, &topo);
-    sim.initialize();
-    sim.run(kSteps);
-    capture(*snap, sim, comm.rank());
-  });
+  const Deck deck = overlap_deck(pipelines);
+  vmpi::WorldConfig config;
+  config.fault_plane = plane;
+  vmpi::run(
+      ranks,
+      [&](vmpi::Comm& comm) {
+        const vmpi::CartTopology topo({ranks, 1, 1}, {true, true, true});
+        Simulation sim(deck, &comm, &topo);
+        sim.initialize();
+        sim.run(kSteps);
+        capture(*snap, sim, comm.rank());
+      },
+      config);
 }
 
 class OverlapBitExact
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
-TEST_P(OverlapBitExact, OverlappedMatchesBarriered) {
+TEST_P(OverlapBitExact, DelayedExchangeMatchesUndelayed) {
   const int ranks = std::get<0>(GetParam());
   const int pipelines = std::get<1>(GetParam());
-  Snapshot barriered, overlapped;
-  run_mode(ranks, pipelines, Deck::Overlap::kOff, &barriered);
-  run_mode(ranks, pipelines, Deck::Overlap::kOn, &overlapped);
-  expect_bit_identical(barriered, overlapped);
+  Snapshot prompt, delayed;
+  run_world(ranks, pipelines, nullptr, &prompt);
+  // A held message (1 ms) outlasts the interior pass of this small deck, so
+  // held migration payloads complete after pass I instead of during it,
+  // and the two x faces of a middle rank complete in either order.
+  vmpi::FaultPlane plane;
+  plane.set_noise(vmpi::FaultKind::kDelay, 0.5);
+  run_world(ranks, pipelines, &plane, &delayed);
+  if (ranks > 1) {
+    EXPECT_GT(plane.injected().delayed, 0) << "no message was held";
+  }
+  expect_bit_identical(prompt, delayed);
 }
 
 INSTANTIATE_TEST_SUITE_P(RankPipelineMatrix, OverlapBitExact,
@@ -146,33 +167,25 @@ INSTANTIATE_TEST_SUITE_P(RankPipelineMatrix, OverlapBitExact,
                          });
 
 TEST(Overlap, SingleRankNeverOverlaps) {
-  // A single-rank grid has no skin, so kOn resolves to the barriered loop
-  // (and the accumulator keeps its exact legacy block count / fold order).
-  const Deck deck = overlap_deck(1, Deck::Overlap::kOn);
+  // A single-rank grid has no skin and no exchange partner, so there is no
+  // comm worker (and the accumulator keeps one block per pipeline).
+  const Deck deck = overlap_deck(1);
   Simulation sim(deck);
-  EXPECT_FALSE(sim.overlap());
   EXPECT_FALSE(sim.overlap_stats().enabled);
 }
 
 TEST(Overlap, AutoResolvesOnForMultiRank) {
-  const Deck deck = overlap_deck(1, Deck::Overlap::kAuto);
+  const Deck deck = overlap_deck(1);
   vmpi::run(2, [&](vmpi::Comm& comm) {
     const vmpi::CartTopology topo({2, 1, 1}, {true, true, true});
     Simulation sim(deck, &comm, &topo);
-    EXPECT_TRUE(sim.overlap());
-  });
-  vmpi::run(2, [&](vmpi::Comm& comm) {
-    Deck off = deck;
-    off.overlap = Deck::Overlap::kOff;
-    const vmpi::CartTopology topo({2, 1, 1}, {true, true, true});
-    Simulation sim(off, &comm, &topo);
-    EXPECT_FALSE(sim.overlap());
+    EXPECT_TRUE(sim.overlap_stats().enabled);
   });
 }
 
 TEST(Overlap, LedgerBalancesAndMigrationCountsMatch) {
   constexpr int kRanks = 4;
-  const Deck deck = overlap_deck(/*pipelines=*/2, Deck::Overlap::kOn);
+  const Deck deck = overlap_deck(/*pipelines=*/2);
   std::mutex mu;
   std::vector<OverlapStats> ov(kRanks);
   std::vector<ParticleStats> stats(kRanks);
@@ -213,8 +226,8 @@ TEST(Overlap, LedgerBalancesAndMigrationCountsMatch) {
 TEST(Overlap, ChaosMidOverlapRecoversBitIdentically) {
   // A rank killed and a payload corrupted while the overlapped loop is in
   // flight: the recovery coordinator must roll back and finish with the
-  // same bits as a fault-free overlapped run — and that run itself matches
-  // the barriered schedule (transitively, via OverlappedMatchesBarriered).
+  // same bits as a fault-free overlapped run — whose result does not
+  // depend on exchange timing (DelayedExchangeMatchesUndelayed).
   // Periodic particle walls, like the main chaos soak: reflux draws advance
   // a sequential RNG counter that checkpoints do not (yet) capture, so
   // rollback replay is bitwise only for reflux-free decks — a pre-existing
@@ -222,7 +235,6 @@ TEST(Overlap, ChaosMidOverlapRecoversBitIdentically) {
   constexpr int kRanks = 4;
   Deck deck = two_stream_deck(/*cells=*/32, /*ppc=*/8);
   deck.pipelines = 2;
-  deck.overlap = Deck::Overlap::kOn;
 
   Snapshot clean_snap(kRanks);
   RecoveryConfig clean_rc;

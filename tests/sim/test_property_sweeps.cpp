@@ -15,7 +15,7 @@ struct SweepParams {
   double uth;
   double drift;
   double cfl;
-  int sort_period;
+  int sort_every;
 };
 
 class CoreInvariants : public ::testing::TestWithParam<SweepParams> {};
@@ -26,7 +26,7 @@ TEST_P(CoreInvariants, GaussAndCountsHold) {
   d.grid.nx = d.grid.ny = d.grid.nz = 6;
   d.grid.dx = d.grid.dy = d.grid.dz = 0.5;
   d.grid.cfl = p.cfl;
-  d.sort_period = p.sort_period;
+  d.sort_every = p.sort_every;
   SpeciesConfig e;
   e.name = "electron";
   e.q = -1;

@@ -36,7 +36,7 @@ TEST(SimulationTest, ConstructionValidation) {
   d.species.clear();
   EXPECT_THROW(Simulation{d}, Error);
   d = small_plasma_deck();
-  d.sort_period = -1;
+  d.sort_every = -1;
   EXPECT_THROW(Simulation{d}, Error);
   d = small_plasma_deck();
   d.clean_passes = 0;
@@ -111,9 +111,9 @@ TEST(SimulationTest, SortPeriodKeepsPhysicsIdentical) {
   // the same energies as an unsorted run (float reduction order changes
   // slightly; tolerances reflect that).
   Deck a = small_plasma_deck();
-  a.sort_period = 0;
+  a.sort_every = 0;
   Deck b = small_plasma_deck();
-  b.sort_period = 1;
+  b.sort_every = 1;
   Simulation sa(a), sb(b);
   sa.initialize();
   sb.initialize();

@@ -90,7 +90,9 @@ TEST(Runtime, SequentialRunsAreIndependent) {
 TEST(Runtime, Rank0RunsOnCallingThread) {
   const auto caller = std::this_thread::get_id();
   run(2, [&](Comm& comm) {
-    if (comm.rank() == 0) EXPECT_EQ(std::this_thread::get_id(), caller);
+    if (comm.rank() == 0) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+    }
   });
 }
 
