@@ -170,7 +170,7 @@ inline ::testing::AssertionResult j_close(const grid::FieldArray& a,
   return ::testing::AssertionSuccess();
 }
 
-inline grid::GlobalGrid cube_grid(int n, double h, double dt = 0) {
+inline grid::GlobalGrid cube_grid(int n, double h = 0.5, double dt = 0) {
   grid::GlobalGrid g;
   g.nx = g.ny = g.nz = n;
   g.dx = g.dy = g.dz = h;

@@ -5,6 +5,7 @@
 #include <array>
 #include <cmath>
 
+#include "harness.hpp"
 #include "particles/loader.hpp"
 #include "util/error.hpp"
 #include "util/math.hpp"
@@ -12,12 +13,7 @@
 namespace minivpic::particles {
 namespace {
 
-grid::GlobalGrid cube(int n, double h = 0.5) {
-  grid::GlobalGrid g;
-  g.nx = g.ny = g.nz = n;
-  g.dx = g.dy = g.dz = h;
-  return g;
-}
+using testing::cube_grid;
 
 std::array<double, 4> momentum_and_ke(const Species& sp) {
   std::array<double, 4> out{0, 0, 0, 0};
@@ -32,7 +28,7 @@ std::array<double, 4> momentum_and_ke(const Species& sp) {
 }
 
 TEST(CollisionsTest, ZeroRateIsNoop) {
-  const grid::LocalGrid g(cube(4));
+  const grid::LocalGrid g(cube_grid(4));
   Species sp("e", -1.0, 1.0);
   LoadConfig cfg;
   cfg.ppc = 8;
@@ -46,7 +42,7 @@ TEST(CollisionsTest, ZeroRateIsNoop) {
 }
 
 TEST(CollisionsTest, ParameterValidation) {
-  const grid::LocalGrid g(cube(4));
+  const grid::LocalGrid g(cube_grid(4));
   Species sp("e", -1.0, 1.0);
   EXPECT_THROW(collide_intraspecies(sp, g, -1.0, 0.1, 1, 0), Error);
   EXPECT_THROW(collide_intraspecies(sp, g, 1.0, 0.0, 1, 0), Error);
@@ -56,7 +52,7 @@ TEST(CollisionsTest, ParameterValidation) {
 }
 
 TEST(CollisionsTest, ConservesMomentumAndEnergyEqualWeights) {
-  const grid::LocalGrid g(cube(4));
+  const grid::LocalGrid g(cube_grid(4));
   Species sp("e", -1.0, 1.0);
   LoadConfig cfg;
   cfg.ppc = 16;  // even count per cell: pure pair path, exact conservation
@@ -76,7 +72,7 @@ TEST(CollisionsTest, ConservesMomentumAndEnergyEqualWeights) {
 
 TEST(CollisionsTest, PreservesRelativeSpeed) {
   // One isolated pair: |u_rel| is invariant under the scatter rotation.
-  const grid::LocalGrid g(cube(4));
+  const grid::LocalGrid g(cube_grid(4));
   Species sp("e", -1.0, 1.0);
   Particle a, b;
   a.i = b.i = g.voxel(2, 2, 2);
@@ -101,7 +97,7 @@ TEST(CollisionsTest, PreservesRelativeSpeed) {
 TEST(CollisionsTest, IsotropizesAnisotropicPlasma) {
   // Tz >> Tx,y must relax toward isotropy — the defining test of a Coulomb
   // collision operator.
-  const grid::LocalGrid g(cube(4, 1.0));
+  const grid::LocalGrid g(cube_grid(4, 1.0));
   Species sp("e", -1.0, 1.0);
   LoadConfig cfg;
   cfg.ppc = 64;
@@ -126,7 +122,7 @@ TEST(CollisionsTest, IsotropizesAnisotropicPlasma) {
 
 TEST(CollisionsTest, IsotropizationRateScalesWithNu) {
   auto relax = [](double nu) {
-    const grid::LocalGrid g(cube(4, 1.0));
+    const grid::LocalGrid g(cube_grid(4, 1.0));
     Species sp("e", -1.0, 1.0);
     LoadConfig cfg;
     cfg.ppc = 64;
@@ -147,7 +143,7 @@ TEST(CollisionsTest, IsotropizationRateScalesWithNu) {
 TEST(CollisionsTest, InterspeciesDragsBeamOnHeavyBackground) {
   // A cold electron beam drifting through heavy ions: pitch-angle
   // scattering isotropizes the beam while the ions barely move.
-  const grid::LocalGrid g(cube(4, 1.0));
+  const grid::LocalGrid g(cube_grid(4, 1.0));
   Species e("e", -1.0, 1.0);
   Species ion("i", +1.0, 1836.0);
   LoadConfig cfg;
@@ -176,7 +172,7 @@ TEST(CollisionsTest, InterspeciesDragsBeamOnHeavyBackground) {
 }
 
 TEST(CollisionsTest, OddCountTripleHandled) {
-  const grid::LocalGrid g(cube(2, 1.0));
+  const grid::LocalGrid g(cube_grid(2, 1.0));
   Species sp("e", -1.0, 1.0);
   for (int n = 0; n < 3; ++n) {  // exactly 3 in one cell
     Particle p;
@@ -197,7 +193,7 @@ TEST(CollisionsTest, OddCountTripleHandled) {
 
 TEST(CollisionsTest, DeterministicGivenSeedAndStep) {
   auto run = [](std::uint64_t seed) {
-    const grid::LocalGrid g(cube(3));
+    const grid::LocalGrid g(cube_grid(3));
     Species sp("e", -1.0, 1.0);
     LoadConfig cfg;
     cfg.ppc = 8;

@@ -5,21 +5,17 @@
 #include <cmath>
 
 #include "grid/halo.hpp"
+#include "harness.hpp"
 
 namespace minivpic::particles {
 namespace {
 
-grid::GlobalGrid cube(int n, double h = 0.5) {
-  grid::GlobalGrid g;
-  g.nx = g.ny = g.nz = n;
-  g.dx = g.dy = g.dz = h;
-  return g;
-}
+using testing::cube_grid;
 
 TEST(InterpolatorTest, LayoutIs80Bytes) { EXPECT_EQ(sizeof(Interpolator), 80u); }
 
 TEST(InterpolatorTest, UniformFieldExactEverywhere) {
-  const grid::LocalGrid g(cube(4));
+  const grid::LocalGrid g(cube_grid(4));
   grid::FieldArray f(g);
   grid::Halo halo(g, nullptr);
   for (int k = 0; k <= 5; ++k)
@@ -50,7 +46,7 @@ TEST(InterpolatorTest, UniformFieldExactEverywhere) {
 TEST(InterpolatorTest, CornerValuesRecovered) {
   // At offset (dy,dz) = (-1,-1) the interpolated Ex must equal the raw edge
   // value ex(i,j,k); at (+1,+1) it must equal ex(i,j+1,k+1).
-  const grid::LocalGrid g(cube(4));
+  const grid::LocalGrid g(cube_grid(4));
   grid::FieldArray f(g);
   f.ex(2, 2, 2) = 10.0f;
   f.ex(2, 3, 2) = 20.0f;
@@ -68,7 +64,7 @@ TEST(InterpolatorTest, CornerValuesRecovered) {
 }
 
 TEST(InterpolatorTest, BFaceValuesRecovered) {
-  const grid::LocalGrid g(cube(4));
+  const grid::LocalGrid g(cube_grid(4));
   grid::FieldArray f(g);
   f.cbx(2, 2, 2) = 5.0f;
   f.cbx(3, 2, 2) = 9.0f;
@@ -82,7 +78,7 @@ TEST(InterpolatorTest, BFaceValuesRecovered) {
 
 TEST(InterpolatorTest, LinearFieldExact) {
   // Ex varying linearly in y must interpolate exactly (bilinear scheme).
-  const grid::LocalGrid g(cube(8, 1.0));
+  const grid::LocalGrid g(cube_grid(8, 1.0));
   grid::FieldArray f(g);
   grid::Halo halo(g, nullptr);
   for (int k = 0; k <= 9; ++k)
@@ -100,7 +96,7 @@ TEST(InterpolatorTest, LinearFieldExact) {
 
 TEST(InterpolatorTest, CrossTermExact) {
   // Ex = y*z product field: the d2exdydz term must capture it exactly.
-  const grid::LocalGrid g(cube(4, 1.0));
+  const grid::LocalGrid g(cube_grid(4, 1.0));
   grid::FieldArray f(g);
   for (int k = 0; k <= 5; ++k)
     for (int j = 0; j <= 5; ++j)
@@ -118,7 +114,7 @@ TEST(InterpolatorTest, CrossTermExact) {
 TEST(InterpolatorTest, GhostCellsFeedBoundaryCells) {
   // Periodic field: interpolation in the last cell must see the wrapped
   // values through the refreshed ghosts.
-  const grid::LocalGrid g(cube(4));
+  const grid::LocalGrid g(cube_grid(4));
   grid::FieldArray f(g);
   grid::Halo halo(g, nullptr);
   for (int k = 1; k <= 4; ++k)

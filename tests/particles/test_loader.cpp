@@ -6,20 +6,16 @@
 #include <cmath>
 #include <vector>
 
+#include "harness.hpp"
 #include "util/error.hpp"
 
 namespace minivpic::particles {
 namespace {
 
-grid::GlobalGrid cube(int n, double h = 0.5) {
-  grid::GlobalGrid g;
-  g.nx = g.ny = g.nz = n;
-  g.dx = g.dy = g.dz = h;
-  return g;
-}
+using testing::cube_grid;
 
 TEST(LoaderTest, CountAndWeights) {
-  const grid::LocalGrid g(cube(4));
+  const grid::LocalGrid g(cube_grid(4));
   Species sp("e", -1.0, 1.0);
   LoadConfig cfg;
   cfg.ppc = 8;
@@ -35,7 +31,7 @@ TEST(LoaderTest, CountAndWeights) {
 }
 
 TEST(LoaderTest, AllParticlesInInterior) {
-  const grid::LocalGrid g(cube(4));
+  const grid::LocalGrid g(cube_grid(4));
   Species sp("e", -1.0, 1.0);
   LoadConfig cfg;
   cfg.ppc = 4;
@@ -50,7 +46,7 @@ TEST(LoaderTest, AllParticlesInInterior) {
 }
 
 TEST(LoaderTest, Deterministic) {
-  const grid::LocalGrid g(cube(4));
+  const grid::LocalGrid g(cube_grid(4));
   Species a("e", -1.0, 1.0), b("e", -1.0, 1.0);
   LoadConfig cfg;
   cfg.ppc = 4;
@@ -65,7 +61,7 @@ TEST(LoaderTest, Deterministic) {
 }
 
 TEST(LoaderTest, SeedChangesDraws) {
-  const grid::LocalGrid g(cube(4));
+  const grid::LocalGrid g(cube_grid(4));
   Species a("e", -1.0, 1.0), b("e", -1.0, 1.0);
   LoadConfig cfg;
   cfg.ppc = 4;
@@ -79,7 +75,7 @@ TEST(LoaderTest, SeedChangesDraws) {
 }
 
 TEST(LoaderTest, SpeciesSharePositionsNotMomenta) {
-  const grid::LocalGrid g(cube(4));
+  const grid::LocalGrid g(cube_grid(4));
   Species e("electron", -1.0, 1.0), ion("ion", 1.0, 1836.0);
   LoadConfig cfg;
   cfg.ppc = 4;
@@ -101,7 +97,7 @@ TEST(LoaderTest, SpeciesSharePositionsNotMomenta) {
 TEST(LoaderTest, DecompositionInvariant) {
   // The union of particles loaded by 2 ranks must equal the single-rank
   // load, cell by cell (keyed by global cell id and draw order).
-  const auto gg = cube(4);
+  const auto gg = cube_grid(4);
   const grid::LocalGrid whole(gg);
   Species all("e", -1.0, 1.0);
   LoadConfig cfg;
@@ -137,7 +133,7 @@ TEST(LoaderTest, DecompositionInvariant) {
 }
 
 TEST(LoaderTest, ThermalSpreadMatches) {
-  const grid::LocalGrid g(cube(8));
+  const grid::LocalGrid g(cube_grid(8));
   Species sp("e", -1.0, 1.0);
   LoadConfig cfg;
   cfg.ppc = 64;
@@ -155,7 +151,7 @@ TEST(LoaderTest, ThermalSpreadMatches) {
 }
 
 TEST(LoaderTest, DriftApplied) {
-  const grid::LocalGrid g(cube(4));
+  const grid::LocalGrid g(cube_grid(4));
   Species sp("e", -1.0, 1.0);
   LoadConfig cfg;
   cfg.ppc = 16;
@@ -174,7 +170,7 @@ TEST(LoaderTest, DriftApplied) {
 }
 
 TEST(LoaderTest, ProfileScalesWeights) {
-  const grid::LocalGrid g(cube(4));
+  const grid::LocalGrid g(cube_grid(4));
   Species sp("e", -1.0, 1.0);
   LoadConfig cfg;
   cfg.ppc = 4;
@@ -188,7 +184,7 @@ TEST(LoaderTest, ProfileScalesWeights) {
 }
 
 TEST(LoaderTest, InvalidConfigRejected) {
-  const grid::LocalGrid g(cube(4));
+  const grid::LocalGrid g(cube_grid(4));
   Species sp("e", -1.0, 1.0);
   LoadConfig cfg;
   cfg.ppc = 0;

@@ -4,18 +4,14 @@
 
 #include <cmath>
 
+#include "harness.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace minivpic::particles {
 namespace {
 
-grid::GlobalGrid cube(int n) {
-  grid::GlobalGrid g;
-  g.nx = g.ny = g.nz = n;
-  g.dx = g.dy = g.dz = 0.5;
-  return g;
-}
+using testing::cube_grid;
 
 TEST(SpeciesTest, LayoutIs32Bytes) { EXPECT_EQ(sizeof(Particle), 32u); }
 
@@ -86,7 +82,7 @@ TEST(SpeciesTest, Charge) {
 }
 
 TEST(SpeciesTest, SortOrdersByVoxel) {
-  const grid::LocalGrid g(cube(4));
+  const grid::LocalGrid g(cube_grid(4));
   Species sp("e", -1.0, 1.0);
   Rng rng(7);
   for (int n = 0; n < 500; ++n) {
@@ -109,7 +105,7 @@ TEST(SpeciesTest, SortOrdersByVoxel) {
 // docs/SORTING.md.
 
 TEST(SpeciesTest, SortednessReportsOrder) {
-  const grid::LocalGrid g(cube(4));
+  const grid::LocalGrid g(cube_grid(4));
   Species sp("e", -1.0, 1.0);
   // Degenerate sizes count as fully sorted.
   EXPECT_EQ(sp.sortedness(), 1.0);
@@ -127,7 +123,7 @@ TEST(SpeciesTest, SortednessReportsOrder) {
 }
 
 TEST(SpeciesTest, SortPreservesMultisets) {
-  const grid::LocalGrid g(cube(3));
+  const grid::LocalGrid g(cube_grid(3));
   Species sp("e", -1.0, 1.0);
   Rng rng(9);
   double wsum = 0;
@@ -146,7 +142,7 @@ TEST(SpeciesTest, SortPreservesMultisets) {
 }
 
 TEST(SpeciesTest, SortRejectsCorruptVoxel) {
-  const grid::LocalGrid g(cube(2));
+  const grid::LocalGrid g(cube_grid(2));
   Species sp("e", -1.0, 1.0);
   Particle p;
   p.i = 10000;  // out of range

@@ -2,17 +2,18 @@
 // exchange migrating particles on a comm worker while the interior pass
 // advances, yet the removals and immigrant appends are deferred until both
 // finish, so *when* the exchange completes never changes what the step
-// computes. The schedule-independence test holds exchanges past the
-// interior pass with vmpi delay noise and requires the final fields,
-// particles, and counters to match an undelayed run bit for bit, at any
-// rank and pipeline count. Plus the overlap ledger's accounting identities
-// and the capstone: injected faults mid-overlap recover bit-identically.
+// computes. The final fields, particles, and counters must match bit for
+// bit, at any rank and pipeline count, against a barriered reference and
+// against a run whose exchanges vmpi delay noise holds past the interior
+// pass. Plus the overlap ledger's accounting identities and the capstone:
+// injected faults mid-overlap recover bit-identically.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <mutex>
 #include <vector>
 
+#include "../particles/harness.hpp"
 #include "particles/particle.hpp"
 #include "particles/species.hpp"
 #include "sim/deck.hpp"
@@ -59,20 +60,28 @@ struct Snapshot {
   explicit Snapshot(int n = 1) : ranks(std::size_t(n)) {}
 };
 
-void capture(Snapshot& snap, Simulation& sim, int rank) {
+/// Stores `fields`, `sim`'s particles, `stats` and `step` as `rank`'s state.
+void capture(Snapshot& snap, const grid::FieldArray& fields,
+             const Simulation& sim, const ParticleStats& stats,
+             std::int64_t step, int rank) {
   RankState st;
   for (const auto c : grid::em_components()) {
-    const grid::real* p = grid::component_data(sim.fields(), c);
-    st.fields.emplace_back(p, p + sim.fields().grid().num_voxels());
+    const grid::real* p = grid::component_data(fields, c);
+    st.fields.emplace_back(p, p + fields.grid().num_voxels());
   }
   for (std::size_t s = 0; s < sim.num_species(); ++s) {
     const auto span = sim.species(s).particles();
     st.species.emplace_back(span.begin(), span.end());
   }
-  st.stats = sim.particle_stats();
-  st.step = sim.step_index();
+  st.stats = stats;
+  st.step = step;
   std::lock_guard<std::mutex> lock(snap.mu);
   snap.ranks[std::size_t(rank)] = std::move(st);
+}
+
+void capture(Snapshot& snap, const Simulation& sim, int rank) {
+  capture(snap, sim.fields(), sim, sim.particle_stats(), sim.step_index(),
+          rank);
 }
 
 /// `compare_stats` = false when one side rolled back: a recovered world's
@@ -136,8 +145,55 @@ void run_world(int ranks, int pipelines, vmpi::FaultPlane* plane,
       config);
 }
 
+/// The barriered reference: the particle test harness runs the step
+/// loop's particle schedule but completes each exchange before the interior
+/// pass starts. A Simulation only loads and uncenters the particles, so both
+/// worlds start from the same particles and (still zero) fields. The harness
+/// has one wall reservoir; overlap_deck's two beams share their uth.
+void run_barriered(int ranks, int pipelines, Snapshot* snap) {
+  snap->ranks.resize(std::size_t(ranks));
+  const Deck deck = overlap_deck(pipelines);
+  vmpi::run(ranks, [&](vmpi::Comm& comm) {
+    const vmpi::CartTopology topo({ranks, 1, 1}, {true, true, true});
+    Simulation loader(deck, &comm, &topo);
+    loader.initialize();
+    particles::testing::Pic pic(deck.grid, topo, comm, deck.particle_bc,
+                                pipelines);
+    pic.pusher.set_kernel(deck.kernel);
+    pic.pusher.set_reflux_uth(deck.species[0].load.uth);
+    std::vector<particles::Species*> mobile;
+    for (std::size_t s = 0; s < deck.species.size(); ++s)
+      if (deck.species[s].mobile) mobile.push_back(&loader.species(s));
+    ParticleStats stats;
+    for (int n = 0; n < kSteps; ++n) {
+      const particles::testing::Pic::StepStats r = pic.step(mobile);
+      stats.pushed += r.pushed;
+      stats.crossings += r.crossings;
+      stats.absorbed += r.absorbed + r.migrate.absorbed;
+      stats.reflected += r.reflected;
+      stats.refluxed += r.refluxed;
+      stats.migrated += r.migrate.sent;
+      stats.immigrated += r.migrate.received;
+    }
+    capture(*snap, pic.fields, loader, stats, kSteps, comm.rank());
+  });
+}
+
 class OverlapBitExact
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(OverlapBitExact, OverlappedMatchesBarriered) {
+  const int ranks = std::get<0>(GetParam());
+  const int pipelines = std::get<1>(GetParam());
+  Snapshot overlapped, barriered;
+  run_world(ranks, pipelines, nullptr, &overlapped);
+  run_barriered(ranks, pipelines, &barriered);
+  if (ranks > 1) {
+    for (const RankState& r : overlapped.ranks)
+      EXPECT_GT(r.stats.migrated, 0) << "no particle crossed a rank";
+  }
+  expect_bit_identical(barriered, overlapped);
+}
 
 TEST_P(OverlapBitExact, DelayedExchangeMatchesUndelayed) {
   const int ranks = std::get<0>(GetParam());
