@@ -62,12 +62,7 @@ struct SweepPoint {
   int pipelines = 1;
   std::string kernel = "scalar";
   int sort_every = 20;
-  double push_seconds = 0;
-  double sort_seconds = 0;
-  double reduce_seconds = 0;
-  double step_seconds = 0;
-  double push_rate = 0;  ///< particles/s inside the advance
-  telemetry::StepSample sample;  ///< full derived metric set for --json
+  telemetry::StepSample sample;  ///< whole-run metrics: tables and --json
 };
 
 SweepPoint run_breakdown(int pipelines, particles::Kernel kernel,
@@ -92,63 +87,35 @@ SweepPoint run_breakdown(int pipelines, particles::Kernel kernel,
   timed.initialize();
   const Timer wall;
   timed.run(steps);
-  const double wall_seconds = wall.seconds();
 
-  const auto& t = timed.timings();
-  const double total = t.total_seconds();
+  // Every number below comes from the StepSampler, so this table, the
+  // NDJSON stream and run_deck agree by construction: one row per timed
+  // phase of the phase table, named as the `phase.<name>.s` metrics.
+  SweepPoint pt{timed.pipelines(), particles::kernel_name(timed.kernel()),
+                deck.sort_every,
+                telemetry::StepSampler::derive_total(timed, wall.seconds())};
+  const telemetry::StepSample& m = pt.sample;
   if (print_table) {
-    Table table({"phase", "seconds", "% of step", "notes"});
-    auto row = [&](const char* name, const Stopwatch& sw, const char* note) {
-      table.add_row({std::string(name), sw.total_seconds(),
-                     100.0 * sw.total_seconds() / total, std::string(note)});
-    };
-    const std::string sort_note =
-        deck.sort_every > 0
-            ? "in-place bin sort, every " + std::to_string(deck.sort_every) +
-                  " steps"
-            : "bin sort disabled (sort_every = 0)";
-    row("particle advance", t.push, "the paper's 0.488 Pflop/s inner loop");
-    row("interpolator load", t.interpolate, "per-cell field coefficients");
-    row("migration", t.migrate, "inter-rank exchange (1 rank: bookkeeping)");
-    row("sort", t.sort, sort_note.c_str());
-    row("pipeline reduce", t.reduce, "fold per-pipeline accumulator blocks");
-    row("source reduction", t.sources, "accumulator unload + halo fold");
-    row("field solve", t.field, "B/E/B Yee update + ghost refresh");
-    row("divergence clean", t.clean, "Marder passes, every 50 steps");
-    table.add_row({std::string("TOTAL"), total, 100.0, std::string("")});
+    Table table({"phase", "seconds", "% of step"});
+    for (const auto& [name, seconds] : m.phase_seconds)
+      table.add_row({name, seconds, 100.0 * seconds / m.step_seconds});
+    table.add_row({std::string("TOTAL"), m.step_seconds, 100.0});
     table.print(std::cout, "T2: step cost breakdown (LPI deck, " +
                                std::to_string(steps) + " steps, " +
-                               std::to_string(timed.pipelines()) +
-                               " pipeline(s), " +
-                               particles::kernel_name(timed.kernel()) +
-                               " kernel)");
-
-    // Rates come from the shared StepSampler derivations so this table, the
-    // NDJSON stream, and run_deck agree by construction.
-    const std::int64_t pushed = timed.particle_stats().pushed;
-    std::cout << "\npush rate: "
-              << telemetry::StepSampler::particles_per_second(
-                     pushed, t.push.total_seconds()) /
-                     1e6
-              << " M particles/s; sustained (whole step): "
-              << telemetry::StepSampler::push_gflops(pushed, total)
+                               std::to_string(pt.pipelines) +
+                               " pipeline(s), " + pt.kernel + " kernel)");
+    std::cout << "\npush rate: " << m.particles_per_sec / 1e6
+              << " M particles/s; sustained (whole step): " << m.step_gflops
               << " Gflop/s s.p. on this host\n";
     std::cout << "inner-loop share of step: "
-              << 100.0 * t.push.total_seconds() / total
+              << 100.0 * m.push_seconds / m.step_seconds
               << "%  (paper: 0.374/0.488 = 77%)\n";
+    if (deck.sort_every > 0)
+      std::cout << "in-place bin sort every " << deck.sort_every
+                << " steps\n";
+    else
+      std::cout << "bin sort disabled (sort_every = 0)\n";
   }
-
-  SweepPoint pt;
-  pt.pipelines = timed.pipelines();
-  pt.kernel = particles::kernel_name(timed.kernel());
-  pt.sort_every = deck.sort_every;
-  pt.push_seconds = t.push.total_seconds();
-  pt.sort_seconds = t.sort.total_seconds();
-  pt.reduce_seconds = t.reduce.total_seconds();
-  pt.step_seconds = total;
-  pt.push_rate = telemetry::StepSampler::particles_per_second(
-      timed.particle_stats().pushed, t.push.total_seconds());
-  pt.sample = telemetry::StepSampler::derive_total(timed, wall_seconds);
   return pt;
 }
 
@@ -234,13 +201,20 @@ int main(int argc, char** argv) try {
 
   if (sweep.size() > 1) {
     std::cout << "\n";
-    Table table({"pipelines", "kernel", "push s", "sort s", "reduce s",
-                 "step s", "Mpart/s", "push speedup"});
+    std::vector<std::string> columns = {"pipelines", "kernel"};
+    for (const auto& [name, seconds] : sweep[0].sample.phase_seconds)
+      columns.push_back(name + " s");
+    for (const char* c : {"step s", "Mpart/s", "push speedup"})
+      columns.emplace_back(c);
+    Table table(columns);
     for (const SweepPoint& pt : sweep) {
-      table.add_row({(long long)pt.pipelines, pt.kernel, pt.push_seconds,
-                     pt.sort_seconds, pt.reduce_seconds, pt.step_seconds,
-                     pt.push_rate / 1e6,
-                     sweep[0].push_seconds / pt.push_seconds});
+      std::vector<Cell> row = {(long long)pt.pipelines, pt.kernel};
+      for (const auto& [name, seconds] : pt.sample.phase_seconds)
+        row.emplace_back(seconds);
+      row.emplace_back(pt.sample.step_seconds);
+      row.emplace_back(pt.sample.particles_per_sec / 1e6);
+      row.emplace_back(sweep[0].sample.push_seconds / pt.sample.push_seconds);
+      table.add_row(std::move(row));
     }
     table.print(std::cout,
                 "sweep: particle advance vs intra-rank pipelines x kernel "

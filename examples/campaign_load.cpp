@@ -70,13 +70,14 @@ int run(int argc, char** argv) {
   args.check_known({"port", "clients", "requests", "duplicate-ratio",
                     "invalid-ratio", "axis", "base", "spread", "steps",
                     "priority", "client-prefix", "json", "metrics-json",
-                    "timeout", "log-level"});
-  if (!args.has("port")) {
-    std::cerr << "usage: campaign_load --port=N [--clients=C] [--requests=R] "
-                 "[--duplicate-ratio=F]\n"
-                 "       [--invalid-ratio=F] [--axis=section.key] [--base=X] "
-                 "[--spread=X] [--json]\n";
-    return 2;
+                    "timeout", "log-level", "help"});
+  if (args.has("help") || !args.has("port")) {
+    (args.has("help") ? std::cout : std::cerr)
+        << "usage: campaign_load --port=N [--clients=C] [--requests=R] "
+           "[--duplicate-ratio=F]\n"
+           "       [--invalid-ratio=F] [--axis=section.key] [--base=X] "
+           "[--spread=X] [--json]\n";
+    return args.has("help") ? 0 : 2;
   }
   const int port = int(args.get_int("port", 0));
   const int clients = int(args.get_int("clients", 4));

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "telemetry/json.hpp"
+#include "telemetry/phase.hpp"
 #include "telemetry/recorder.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
@@ -291,11 +292,12 @@ void print_report(const std::vector<RankDump>& dumps, int last_n,
 int main(int argc, char** argv) {
   try {
     Args args(argc, argv);
-    args.check_known({"trace", "report", "last"});
-    if (args.positional().empty()) {
-      std::cerr << "usage: postmortem <dump.fdr> [more.fdr ...] "
-                   "[--trace=merged.json] [--report=report.txt] [--last=N]\n";
-      return 2;
+    args.check_known({"trace", "report", "last", "help"});
+    if (args.has("help") || args.positional().empty()) {
+      (args.has("help") ? std::cout : std::cerr)
+          << "usage: postmortem <dump.fdr> [more.fdr ...] "
+             "[--trace=merged.json] [--report=report.txt] [--last=N]\n";
+      return args.has("help") ? 0 : 2;
     }
     const int last_n = int(args.get_int("last", 12));
     MV_REQUIRE(last_n > 0, "--last must be positive");

@@ -99,7 +99,8 @@ int run(int argc, char** argv) {
                     "backoff", "timeout", "max-resumes", "steps", "set",
                     "results", "resume", "scratch", "curve", "curve-axis",
                     "curve-metric", "metrics", "flight-recorder", "list",
-                    "validate", "fail-job", "fail-attempts", "log-level"});
+                    "validate", "fail-job", "fail-attempts", "log-level",
+                    "help"});
   if (args.has("log-level")) {
     const std::string lvl = args.get("log-level", "info");
     set_log_level(lvl == "debug" ? LogLevel::kDebug
@@ -108,18 +109,19 @@ int run(int argc, char** argv) {
                                    : LogLevel::kInfo);
   }
   if (args.has("validate")) return validate(args.get("validate", ""));
-  if (args.positional().empty()) {
-    std::cerr << "usage: run_campaign <deck-with-[campaign]> [--jobs=N] "
-                 "[--ranks=N] [--pipelines=N]\n"
-                 "       [--max-threads=N] [--retries=N] [--timeout=seconds] "
-                 "[--max-resumes=N]\n"
-                 "       [--steps=N] [--set=section.key=value ...] "
-                 "[--results=PATH] [--resume]\n"
-                 "       [--scratch=DIR] [--curve=PATH.csv] "
-                 "[--curve-axis=section.key] [--curve-metric=NAME]\n"
-                 "       [--metrics=PATH] [--list] | "
-                 "--validate=results.ndjson\n";
-    return 2;
+  if (args.has("help") || args.positional().empty()) {
+    (args.has("help") ? std::cout : std::cerr)
+        << "usage: run_campaign <deck-with-[campaign]> [--jobs=N] "
+           "[--ranks=N] [--pipelines=N]\n"
+           "       [--max-threads=N] [--retries=N] [--timeout=seconds] "
+           "[--max-resumes=N]\n"
+           "       [--steps=N] [--set=section.key=value ...] "
+           "[--results=PATH] [--resume]\n"
+           "       [--scratch=DIR] [--curve=PATH.csv] "
+           "[--curve-axis=section.key] [--curve-metric=NAME]\n"
+           "       [--metrics=PATH] [--list] | "
+           "--validate=results.ndjson\n";
+    return args.has("help") ? 0 : 2;
   }
   const std::string deck_path = args.positional()[0];
 

@@ -272,22 +272,23 @@ int run(int argc, char** argv) {
                     "pipelines", "kernel", "sort-every", "metrics",
                     "metrics-every", "trace", "log-level", "set", "ranks",
                     "comm-timeout", "inject-comm-fault", "flight-recorder",
-                    "fdr-prefix"});
-  if (args.positional().empty()) {
-    std::cerr << "usage: run_deck <deck-file> [--steps=N] [--report=N]\n"
-                 "       [--probe_plane=I] [--checkpoint=prefix] "
-                 "[--checkpoint-every=N]\n"
-                 "       [--resume[=prefix]] [--max-walltime=seconds] "
-                 "[--history=csv] [--pipelines=N]\n"
-                 "       [--metrics=ndjson] [--metrics-every=N] "
-                 "[--trace=json] [--log-level=LVL]\n"
-                 "       [--kernel=scalar|sse|avx2|avx512|auto] "
-                 "[--sort-every=N]\n"
-                 "       [--set=section.key=value ...]\n"
-                 "       [--ranks=N] [--comm-timeout=seconds] "
-                 "[--inject-comm-fault=kind[:rank[:arg]]@step ...]\n"
-                 "       [--flight-recorder[=events]] [--fdr-prefix=PATH]\n";
-    return 2;
+                    "fdr-prefix", "help"});
+  if (args.has("help") || args.positional().empty()) {
+    (args.has("help") ? std::cout : std::cerr)
+        << "usage: run_deck <deck-file> [--steps=N] [--report=N]\n"
+           "       [--probe_plane=I] [--checkpoint=prefix] "
+           "[--checkpoint-every=N]\n"
+           "       [--resume[=prefix]] [--max-walltime=seconds] "
+           "[--history=csv] [--pipelines=N]\n"
+           "       [--metrics=ndjson] [--metrics-every=N] "
+           "[--trace=json] [--log-level=LVL]\n"
+           "       [--kernel=scalar|sse|avx2|avx512|auto] "
+           "[--sort-every=N]\n"
+           "       [--set=section.key=value ...]\n"
+           "       [--ranks=N] [--comm-timeout=seconds] "
+           "[--inject-comm-fault=kind[:rank[:arg]]@step ...]\n"
+           "       [--flight-recorder[=events]] [--fdr-prefix=PATH]\n";
+    return args.has("help") ? 0 : 2;
   }
   if (args.has("log-level")) {
     set_log_level(parse_log_level(args.get("log-level", "info")));

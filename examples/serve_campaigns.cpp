@@ -56,7 +56,7 @@ int run(int argc, char** argv) {
                     "max-threads", "retries", "backoff", "timeout",
                     "max-resumes", "max-queued", "read-deadline", "results",
                     "queue-state", "scratch", "metrics", "fdr", "fail-label",
-                    "fail-attempts", "log-level"});
+                    "fail-attempts", "log-level", "help"});
   if (args.has("log-level")) {
     const std::string lvl = args.get("log-level", "info");
     set_log_level(lvl == "debug" ? LogLevel::kDebug
@@ -64,12 +64,13 @@ int run(int argc, char** argv) {
                   : lvl == "error" ? LogLevel::kError
                                    : LogLevel::kInfo);
   }
-  if (args.positional().empty()) {
-    std::cerr << "usage: serve_campaigns <deck> [--port=N] [--port-file=PATH] "
-                 "[--jobs=N]\n"
-                 "       [--max-queued=N] [--results=PATH] "
-                 "[--queue-state=PATH] [--metrics=PATH]\n";
-    return 2;
+  if (args.has("help") || args.positional().empty()) {
+    (args.has("help") ? std::cout : std::cerr)
+        << "usage: serve_campaigns <deck> [--port=N] [--port-file=PATH] "
+           "[--jobs=N]\n"
+           "       [--max-queued=N] [--results=PATH] "
+           "[--queue-state=PATH] [--metrics=PATH]\n";
+    return args.has("help") ? 0 : 2;
   }
   const std::string deck_path = args.positional()[0];
 

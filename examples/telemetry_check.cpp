@@ -225,11 +225,12 @@ int check_trace(const std::string& path) {
 int main(int argc, char** argv) {
   try {
     Args args(argc, argv);
-    args.check_known({"metrics", "trace"});
-    if (!args.has("metrics") && !args.has("trace")) {
-      std::cerr << "usage: telemetry_check [--metrics=ndjson] "
-                   "[--trace=json]\n";
-      return 2;
+    args.check_known({"metrics", "trace", "help"});
+    if (args.has("help") || (!args.has("metrics") && !args.has("trace"))) {
+      (args.has("help") ? std::cout : std::cerr)
+          << "usage: telemetry_check [--metrics=ndjson] "
+             "[--trace=json]\n";
+      return args.has("help") ? 0 : 2;
     }
     int rc = 0;
     if (args.has("metrics")) rc |= check_metrics(args.get("metrics", ""));

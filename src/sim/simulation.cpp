@@ -5,7 +5,6 @@
 
 #include "particles/collisions.hpp"
 #include "particles/rho.hpp"
-#include "telemetry/trace.hpp"
 #include "util/error.hpp"
 
 namespace minivpic::sim {
@@ -128,22 +127,21 @@ void Simulation::initialize() {
 void Simulation::step() {
   MV_REQUIRE(initialized_, "initialize() must be called before step()");
 
-  // Every phase below is timed into timings_ AND mirrored as a nested
-  // Chrome-trace span when a TraceWriter is attached (telemetry::PhaseSpan
-  // degrades to a plain ScopedLap plus one pointer test when trace_ is
-  // null — the disabled-sink overhead the OBSERVABILITY doc quantifies).
-  telemetry::ScopedSpan step_span(trace_, "step");
-  // The flight recorder gets the same timeline: a step-boundary event plus
-  // begin/end pairs for every phase below (ride in the same PhaseSpan).
-  if (recorder_ != nullptr) {
-    recorder_->set_step(step_);
-    recorder_->record(telemetry::FdrKind::kStep, 0, -1,
-                      static_cast<std::uint64_t>(step_));
+  // Every phase below is one telemetry::Phase scope (its lap in timings_,
+  // a trace span and a flight-recorder begin/end pair, from two clock
+  // reads); with no sink attached it is a plain lap.
+  auto phase = [this](telemetry::FdrPhase id) {
+    return telemetry::Phase(sinks_, id, timings_.lap(id));
+  };
+  if (sinks_.recorder != nullptr) {
+    sinks_.recorder->set_step(step_);
+    sinks_.recorder->record(telemetry::FdrKind::kStep, 0, -1,
+                            static_cast<std::uint64_t>(step_));
   }
-  telemetry::RecordedPhase step_record(recorder_, telemetry::kFdrPhaseStep);
+  const telemetry::Phase step_phase = phase(telemetry::kFdrPhaseStep);
 
   {
-    telemetry::PhaseSpan lap(timings_.interpolate, trace_, "interpolate", recorder_, telemetry::kFdrPhaseInterpolate);
+    const telemetry::Phase p = phase(telemetry::kFdrPhaseInterpolate);
     interp_.load(fields_);
   }
 
@@ -179,38 +177,27 @@ void Simulation::step() {
     particles::Pusher::Pass skin, interior;
     particles::MigrateStats mig;
     std::vector<particles::Particle> immigrants;
-    double comm_dt = 0;  // async exchange wall time (worker writes, we
-                         // read after the join)
+    Stopwatch comm_lap;  // the worker's exchange time, read after the join
     {
-      telemetry::PhaseSpan lap(timings_.push, trace_, "push", recorder_, telemetry::kFdrPhasePush);
+      const telemetry::Phase p = phase(telemetry::kFdrPhasePush);
       {
-        telemetry::ScopedSpan span(trace_, "push.skin");
-        telemetry::RecordedPhase rec(recorder_, telemetry::kFdrPhasePushSkin);
-        const Timer t;
+        const telemetry::Phase sub = phase(telemetry::kFdrPhasePushSkin);
         skin = pusher_.advance_skin(sp, interp_, acc_, &pipeline_);
-        if (comm_worker_) overlap_stats_.skin_seconds += t.seconds();
       }
       if (comm_worker_) {
         comm_worker_->submit([&, this] {
           // TraceWriter and Recorder are thread-safe; the span lands on the
           // worker's own trace row, bracketing push.interior below.
-          telemetry::ScopedSpan span(trace_, "migrate.async");
-          telemetry::RecordedPhase rec(recorder_,
-                                       telemetry::kFdrPhaseMigrateAsync);
-          const Timer t;
+          const telemetry::Phase sub(
+              sinks_, telemetry::kFdrPhaseMigrateAsync, &comm_lap);
           mig = particles::exchange_particles(std::move(skin.res.emigrants),
                                               sp, pusher_, migrate_block,
                                               grid_, comm_, &immigrants);
-          comm_dt = t.seconds();
         });
       }
       try {
-        telemetry::ScopedSpan span(trace_, "push.interior");
-        telemetry::RecordedPhase rec(recorder_,
-                                     telemetry::kFdrPhasePushInterior);
-        const Timer t;
+        const telemetry::Phase sub = phase(telemetry::kFdrPhasePushInterior);
         interior = pusher_.advance_interior(sp, interp_, acc_, &pipeline_);
-        if (comm_worker_) overlap_stats_.interior_seconds += t.seconds();
       } catch (...) {
         // Join the comm worker before unwinding (the interior failure is
         // primary; a concurrent exchange error is dropped) so it never
@@ -237,15 +224,17 @@ void Simulation::step() {
     for (std::size_t p = 0; p < interior.res.pipeline_seconds.size(); ++p)
       pipeline_busy_[p] += interior.res.pipeline_seconds[p];
     {
-      // On multi-rank grids this phase records only the *exposed* join
-      // wait, so phase totals keep summing to step wall time; the hidden
-      // comm lives in overlap_stats(). Single-rank grids have no comm
-      // worker and no emigrants: their exchange is a no-op.
-      telemetry::PhaseSpan lap(timings_.migrate, trace_, "migrate", recorder_, telemetry::kFdrPhaseMigrate);
+      // On multi-rank grids this phase holds the *exposed* join wait, the
+      // tail exchange and the compaction, so phase totals keep summing to
+      // step wall time; the hidden comm lives in overlap_stats().
+      // Single-rank grids have no comm worker and no emigrants: their
+      // exchange is a no-op.
+      const telemetry::Phase p = phase(telemetry::kFdrPhaseMigrate);
       if (comm_worker_) {
         const Timer t;
         comm_worker_->wait();  // rethrows a CommError from the exchange
         const double exposed = t.seconds();
+        const double comm_dt = comm_lap.total_seconds();
         overlap_stats_.comm_seconds += comm_dt;
         overlap_stats_.exposed_seconds += exposed;
         overlap_stats_.hidden_seconds += std::max(0.0, comm_dt - exposed);
@@ -279,7 +268,7 @@ void Simulation::step() {
     // gathers decay away from as migration shuffles the list
     // (docs/SORTING.md). The histogram pass parallelizes on the same
     // pipeline pool as the advance; collisions also require sorted lists.
-    telemetry::PhaseSpan lap(timings_.sort, trace_, "sort", recorder_, telemetry::kFdrPhaseSort);
+    const telemetry::Phase p = phase(telemetry::kFdrPhaseSort);
     for (std::size_t s = 0; s < species_.size(); ++s) {
       if (!mobile_[s]) continue;
       species_[s]->sort(grid_, &pipeline_);
@@ -288,7 +277,7 @@ void Simulation::step() {
   }
 
   if (collide_now) {
-    telemetry::PhaseSpan lap(timings_.collide, trace_, "collide", recorder_, telemetry::kFdrPhaseCollide);
+    const telemetry::Phase p = phase(telemetry::kFdrPhaseCollide);
     for (const auto& rc : collisions_) {
       if ((step_ + 1) % rc.period != 0) continue;
       const double dt_coll = rc.period * grid_.dt();
@@ -314,12 +303,12 @@ void Simulation::step() {
     // Fold the per-pipeline accumulator blocks into block 0 (deterministic
     // block order; see AccumulatorArray::reduce). Timed separately: this is
     // the serial cost the pipeline layer pays per step.
-    telemetry::PhaseSpan lap(timings_.reduce, trace_, "reduce", recorder_, telemetry::kFdrPhaseReduce);
+    const telemetry::Phase p = phase(telemetry::kFdrPhaseReduce);
     acc_.reduce();
   }
 
   {
-    telemetry::PhaseSpan lap(timings_.sources, trace_, "sources", recorder_, telemetry::kFdrPhaseSources);
+    const telemetry::Phase p = phase(telemetry::kFdrPhaseSources);
     acc_.unload(fields_);
     if (clean_now) {
       for (auto& sp : species_) particles::accumulate_rho(*sp, fields_);
@@ -328,14 +317,14 @@ void Simulation::step() {
   }
 
   {
-    telemetry::PhaseSpan lap(timings_.field, trace_, "field", recorder_, telemetry::kFdrPhaseField);
+    const telemetry::Phase p = phase(telemetry::kFdrPhaseField);
     solver_.advance_b(fields_, 0.5);
     solver_.advance_e(fields_);
     solver_.advance_b(fields_, 0.5);
   }
 
   if (clean_now) {
-    telemetry::PhaseSpan lap(timings_.clean, trace_, "clean", recorder_, telemetry::kFdrPhaseClean);
+    const telemetry::Phase p = phase(telemetry::kFdrPhaseClean);
     cleaner_.clean_e(fields_, deck_.clean_passes);
     cleaner_.clean_b(fields_, 1);
   }

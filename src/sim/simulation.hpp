@@ -22,18 +22,12 @@
 #include "particles/migrate.hpp"
 #include "particles/push.hpp"
 #include "sim/deck.hpp"
+#include "telemetry/phase.hpp"
 #include "util/pipeline.hpp"
 #include "util/timer.hpp"
 #include "util/worker.hpp"
 #include "vmpi/cart.hpp"
 #include "vmpi/comm.hpp"
-
-namespace minivpic::telemetry {
-class TraceWriter;  // telemetry/trace.hpp; sim depends on telemetry, not
-                    // vice versa (the sampler reads sim through inline
-                    // accessors only)
-class Recorder;     // telemetry/recorder.hpp; same layering
-}  // namespace minivpic::telemetry
 
 namespace minivpic::sim {
 
@@ -49,12 +43,31 @@ struct StepTimings {
   Stopwatch clean;        ///< Marder passes
   Stopwatch collide;      ///< binary collision operator
 
+  /// The lap of phase `id` (telemetry/phase.hpp); null for step and the
+  /// overlap sub-phases. Inline, like every accessor telemetry reads.
+  Stopwatch* lap(std::uint16_t id) {
+    switch (id) {
+      case telemetry::kFdrPhaseInterpolate: return &interpolate;
+      case telemetry::kFdrPhasePush: return &push;
+      case telemetry::kFdrPhaseMigrate: return &migrate;
+      case telemetry::kFdrPhaseSort: return &sort;
+      case telemetry::kFdrPhaseReduce: return &reduce;
+      case telemetry::kFdrPhaseSources: return &sources;
+      case telemetry::kFdrPhaseField: return &field;
+      case telemetry::kFdrPhaseClean: return &clean;
+      case telemetry::kFdrPhaseCollide: return &collide;
+      default: return nullptr;
+    }
+  }
+  const Stopwatch* lap(std::uint16_t id) const {
+    return const_cast<StepTimings*>(this)->lap(id);
+  }
+
   double total_seconds() const {
-    return interpolate.total_seconds() + push.total_seconds() +
-           migrate.total_seconds() + sort.total_seconds() +
-           reduce.total_seconds() + sources.total_seconds() +
-           field.total_seconds() + clean.total_seconds() +
-           collide.total_seconds();
+    double total = 0;
+    for (const telemetry::PhaseRow& row : telemetry::kPhases)
+      if (const Stopwatch* w = lap(row.id)) total += w->total_seconds();
+    return total;
   }
 };
 
@@ -72,14 +85,13 @@ struct ParticleStats {
 };
 
 /// Comm/compute overlap telemetry (docs/OVERLAP.md), cumulative since
-/// construction. Only multi-rank runs overlap and fill these; the `migrate`
-/// phase stopwatch then records just the *exposed* join wait, so phase
-/// totals keep summing to the step wall time.
+/// construction. Only multi-rank runs overlap and fill these. The `migrate`
+/// phase lap then holds the exposed join wait plus the tail exchange (one
+/// allreduce) and the compaction, so migrate >= exposed; the hidden comm
+/// time is in no phase, and phase totals keep summing to step wall time.
 struct OverlapStats {
   bool enabled = false;              ///< true on multi-rank runs
   std::int64_t overlapped_steps = 0; ///< species-advances run overlapped
-  double skin_seconds = 0;           ///< pass S wall time
-  double interior_seconds = 0;       ///< pass I wall time
   double comm_seconds = 0;           ///< async exchange wall (worker busy)
   double hidden_seconds = 0;         ///< comm time covered by pass I
   double exposed_seconds = 0;        ///< join wait after pass I
@@ -146,13 +158,13 @@ class Simulation {
   /// phase is emitted as a nested span, and health/checkpoint events as
   /// instants. The writer must outlive the simulation or be detached
   /// first. Null pointer = zero-overhead disabled path.
-  void set_trace(telemetry::TraceWriter* trace) { trace_ = trace; }
-  telemetry::TraceWriter* trace() const { return trace_; }
+  void set_trace(telemetry::TraceWriter* trace) { sinks_.trace = trace; }
+  telemetry::TraceWriter* trace() const { return sinks_.trace; }
   /// Attaches (or detaches, with nullptr) this rank's flight recorder: the
   /// step loop records step boundaries and phase begin/end events into it
   /// (telemetry/recorder.hpp). Same lifetime/null contract as set_trace.
-  void set_recorder(telemetry::Recorder* recorder) { recorder_ = recorder; }
-  telemetry::Recorder* recorder() const { return recorder_; }
+  void set_recorder(telemetry::Recorder* r) { sinks_.recorder = r; }
+  telemetry::Recorder* recorder() const { return sinks_.recorder; }
   /// Deposits rho for the current particle positions (into fields().rhof).
   void deposit_rho();
   /// RMS Gauss-law residual (div E - rho) over the global interior; calls
@@ -201,8 +213,7 @@ class Simulation {
   ParticleStats stats_;
   OverlapStats overlap_stats_;
   std::vector<double> pipeline_busy_;  ///< per-pipeline advance seconds
-  telemetry::TraceWriter* trace_ = nullptr;  ///< optional span/event sink
-  telemetry::Recorder* recorder_ = nullptr;  ///< optional flight recorder
+  telemetry::Sinks sinks_;  ///< optional trace and flight recorder
 };
 
 }  // namespace minivpic::sim

@@ -14,19 +14,13 @@ namespace minivpic::telemetry {
 
 namespace {
 
-// One steady-clock epoch shared by every recorder in the process. Under
-// vmpi ranks are threads of this process, so a single epoch makes per-rank
-// timestamps directly comparable in the merged postmortem timeline.
+// One steady-clock epoch shared by every recorder and trace writer in the
+// process. Under vmpi ranks are threads of this process, so a single epoch
+// makes per-rank timestamps directly comparable in the merged postmortem
+// timeline, and that timeline lines up with a live --trace.
 std::chrono::steady_clock::time_point process_epoch() {
   static const auto epoch = std::chrono::steady_clock::now();
   return epoch;
-}
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - process_epoch())
-          .count());
 }
 
 std::size_t round_up_pow2(std::size_t n) {
@@ -68,23 +62,11 @@ void crash_handler(int sig) {
 
 }  // namespace
 
-const char* fdr_phase_name(std::uint16_t phase) {
-  switch (phase) {
-    case kFdrPhaseStep: return "step";
-    case kFdrPhaseInterpolate: return "interpolate";
-    case kFdrPhasePush: return "push";
-    case kFdrPhaseMigrate: return "migrate";
-    case kFdrPhaseSort: return "sort";
-    case kFdrPhaseReduce: return "reduce";
-    case kFdrPhaseSources: return "sources";
-    case kFdrPhaseField: return "field";
-    case kFdrPhaseClean: return "clean";
-    case kFdrPhaseCollide: return "collide";
-    case kFdrPhasePushSkin: return "push.skin";
-    case kFdrPhasePushInterior: return "push.interior";
-    case kFdrPhaseMigrateAsync: return "migrate.async";
-    default: return "phase?";
-  }
+std::uint64_t epoch_ns(std::chrono::steady_clock::time_point t) noexcept {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t -
+                                                           process_epoch())
+          .count());
 }
 
 const char* fdr_kind_name(FdrKind kind) {
@@ -145,11 +127,12 @@ Recorder::~Recorder() {
     g_registered[crash_slot_].store(nullptr, std::memory_order_release);
 }
 
-void Recorder::record(FdrKind kind, std::uint16_t code, int peer,
+void Recorder::record(std::chrono::steady_clock::time_point at, FdrKind kind,
+                      std::uint16_t code, int peer,
                       std::uint64_t arg) noexcept {
   const std::uint64_t slot = head_.fetch_add(1, std::memory_order_relaxed);
   FdrEvent& e = events_[slot & mask_];
-  e.ts_ns = now_ns();
+  e.ts_ns = epoch_ns(at);
   e.step = step_.load(std::memory_order_relaxed);
   e.kind = static_cast<std::uint16_t>(kind);
   e.code = code;

@@ -7,17 +7,6 @@
 
 namespace minivpic::telemetry {
 
-namespace {
-
-/// StepTimings phase names, in struct order. This order is part of the
-/// NDJSON schema (docs/OBSERVABILITY.md) — append, never reorder.
-constexpr const char* kPhaseNames[9] = {
-    "interpolate", "push",  "migrate", "sort",    "reduce",
-    "sources",     "field", "clean",   "collide",
-};
-
-}  // namespace
-
 std::vector<ScalarMetric> StepSample::scalars() const {
   std::vector<ScalarMetric> out;
   out.reserve(32);
@@ -67,11 +56,7 @@ StepSampler::StepSampler(const sim::Simulation& sim)
 StepSampler::Snapshot StepSampler::capture(const sim::Simulation& sim) {
   Snapshot s;
   s.step = sim.step_index();
-  const sim::StepTimings& t = sim.timings();
-  const Stopwatch* watches[9] = {&t.interpolate, &t.push,  &t.migrate,
-                                 &t.sort,        &t.reduce, &t.sources,
-                                 &t.field,       &t.clean,  &t.collide};
-  for (int i = 0; i < 9; ++i) s.phases[i] = watches[i]->total_seconds();
+  s.timings = sim.timings();
   s.stats = sim.particle_stats();
   s.overlap = sim.overlap_stats();
   s.pipeline_busy = sim.pipeline_busy_seconds();
@@ -107,10 +92,14 @@ StepSample StepSampler::derive(const sim::Simulation& sim,
   s.sim_time = sim.time();
   s.wall_seconds = wall_seconds;
 
-  for (int i = 0; i < 9; ++i) {
-    const double dt = std::max(0.0, to.phases[i] - from.phases[i]);
-    s.phase_seconds.emplace_back(kPhaseNames[i], dt);
-    s.step_seconds += dt;
+  double seconds[kPhaseCount] = {};  // by phase id
+  for (const PhaseRow& row : kPhases) {
+    const Stopwatch* lap = to.timings.lap(row.id);
+    if (lap == nullptr) continue;
+    seconds[row.id] = std::max(
+        0.0, lap->total_seconds() - from.timings.lap(row.id)->total_seconds());
+    s.phase_seconds.emplace_back(row.name, seconds[row.id]);
+    s.step_seconds += seconds[row.id];
   }
 
   std::int64_t particles = 0;
@@ -140,10 +129,9 @@ StepSample StepSampler::derive(const sim::Simulation& sim,
   // Sort rate: particles bin-sorted per second of sort-phase time. Zero in
   // intervals where the periodic sort never fired (the common case between
   // sort_every boundaries), so time series show the sort's duty cycle.
-  s.sort_seconds = s.phase_seconds[3].second;
-  s.sort_rate = particles_per_second(s.sorted, s.sort_seconds);
+  s.sort_rate = particles_per_second(s.sorted, seconds[kFdrPhaseSort]);
 
-  s.push_seconds = s.phase_seconds[1].second;
+  s.push_seconds = seconds[kFdrPhasePush];
   s.particles_per_sec = particles_per_second(s.pushed, s.push_seconds);
   s.push_gflops = push_gflops(s.pushed, s.push_seconds);
   const double ncells = double(sim.local_grid().num_cells());
@@ -152,7 +140,7 @@ StepSample StepSampler::derive(const sim::Simulation& sim,
       push_gbytes_per_second(s.pushed, ppc, s.push_seconds);
 
   // Field solve: flops/voxel per full B/E/B update, once per step.
-  const double field_seconds = s.phase_seconds[6].second;
+  const double field_seconds = seconds[kFdrPhaseField];
   const double nsteps = double(s.step_end - s.step_begin);
   if (field_seconds > 0 && nsteps > 0) {
     s.field_gflops = nsteps * double(sim.local_grid().num_cells()) *

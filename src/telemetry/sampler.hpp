@@ -34,9 +34,9 @@ struct StepSample {
   double sim_time = 0;          ///< simulation time at step_end
   double wall_seconds = 0;      ///< caller-supplied wall clock of interval
 
-  /// Per-phase seconds in StepTimings order:
-  /// interpolate, push, migrate, sort, reduce, sources, field, clean,
-  /// collide.
+  /// Seconds of each timed phase, in phase-table order
+  /// (telemetry/phase.hpp): interpolate, push, migrate, sort, reduce,
+  /// sources, field, clean, collide.
   std::vector<std::pair<std::string, double>> phase_seconds;
   double step_seconds = 0;  ///< sum of phase seconds
 
@@ -56,8 +56,7 @@ struct StepSample {
   double field_gflops = 0;          ///< field solve achieved rate
   double step_gflops = 0;           ///< push flops over whole-step seconds
 
-  double sort_seconds = 0;          ///< sort-phase seconds (= phase.sort.s)
-  double sort_rate = 0;             ///< sorted / sort_seconds
+  double sort_rate = 0;             ///< sorted / phase.sort.s
 
   double pipelines = 1;             ///< resolved pipeline count
   double pipeline_imbalance = 1;    ///< max/mean per-pipeline busy seconds
@@ -118,7 +117,7 @@ class StepSampler {
   /// no collectives).
   struct Snapshot {
     std::int64_t step = 0;
-    double phases[9] = {};  // StepTimings order
+    sim::StepTimings timings;
     sim::ParticleStats stats;
     sim::OverlapStats overlap;
     std::vector<double> pipeline_busy;

@@ -9,7 +9,9 @@
 namespace minivpic::telemetry {
 
 TraceWriter::TraceWriter(std::string path, int pid)
-    : path_(std::move(path)), pid_(pid) {}
+    : path_(std::move(path)), pid_(pid) {
+  epoch_ns(Clock::now());  // pin the shared epoch before the first event
+}
 
 TraceWriter::~TraceWriter() {
   // Destructors must not throw; an explicit close() reports I/O errors.
@@ -31,30 +33,26 @@ int TraceWriter::tid_for_current_thread() {
   return int(tids_.size() - 1);
 }
 
-void TraceWriter::begin(const char* name, const char* category) {
-  const double ts = clock_.seconds() * 1e6;
+void TraceWriter::begin(const char* name, const char* category,
+                        Clock::time_point at) {
+  const std::uint64_t ts = epoch_ns(at);
   std::lock_guard<std::mutex> lock(mu_);
   events_.push_back({'B', ts, tid_for_current_thread(), name, category, {}});
 }
 
-void TraceWriter::end() {
-  const double ts = clock_.seconds() * 1e6;
+void TraceWriter::end(Clock::time_point at) {
+  const std::uint64_t ts = epoch_ns(at);
   std::lock_guard<std::mutex> lock(mu_);
   events_.push_back({'E', ts, tid_for_current_thread(), {}, {}, {}});
 }
 
 void TraceWriter::instant(const char* name, const char* category, Json args) {
-  const double ts = clock_.seconds() * 1e6;
+  const std::uint64_t ts = epoch_ns(Clock::now());
   std::string rendered;
   if (!args.is_null()) rendered = args.dump();
   std::lock_guard<std::mutex> lock(mu_);
   events_.push_back({'i', ts, tid_for_current_thread(), name, category,
                      std::move(rendered)});
-}
-
-std::size_t TraceWriter::num_events() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_.size();
 }
 
 void TraceWriter::close() {
@@ -72,7 +70,7 @@ void TraceWriter::close() {
     if (!e.name.empty()) os << ",\"name\":\"" << Json::escape(e.name) << '"';
     if (!e.category.empty())
       os << ",\"cat\":\"" << Json::escape(e.category) << '"';
-    std::snprintf(num, sizeof num, "%.3f", e.ts_us);
+    std::snprintf(num, sizeof num, "%.3f", double(e.ts_ns) / 1e3);
     os << ",\"ts\":" << num << ",\"pid\":" << pid_ << ",\"tid\":" << e.tid;
     if (e.phase == 'i') os << ",\"s\":\"t\"";  // thread-scoped instant
     if (!e.args.empty()) os << ",\"args\":" << e.args;

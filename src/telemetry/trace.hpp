@@ -8,14 +8,12 @@
 // thread's events carry a stable small integer tid (assigned on first use),
 // so B/E pairs nest per thread as the format requires. `pid` is the vmpi
 // rank, which groups each rank's spans into its own track group in the
-// viewer.
-//
-// ScopedSpan is the RAII form and tolerates a null writer, which is the
-// disabled-sink fast path: one pointer test, no clock read. PhaseSpan
-// couples a span with the Stopwatch lap the step loop already keeps, so
-// phase wall-clock totals and trace spans can never disagree.
+// viewer. Timestamps are on the flight recorder's epoch (epoch_ns). Spans
+// take the time points their caller read: telemetry::Phase hands the same
+// two clock reads to the Stopwatch lap, this span and the recorder.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -24,7 +22,6 @@
 
 #include "telemetry/json.hpp"
 #include "telemetry/recorder.hpp"
-#include "util/timer.hpp"
 
 namespace minivpic::telemetry {
 
@@ -38,15 +35,15 @@ class TraceWriter {
   TraceWriter(const TraceWriter&) = delete;
   TraceWriter& operator=(const TraceWriter&) = delete;
 
-  /// Opens a duration span on the calling thread.
-  void begin(const char* name, const char* category = "step");
-  /// Closes the most recent open span on the calling thread.
-  void end();
+  using Clock = std::chrono::steady_clock;
+
+  /// Opens a duration span on the calling thread at `at`.
+  void begin(const char* name, const char* category, Clock::time_point at);
+  /// Closes the most recent open span on the calling thread at `at`.
+  void end(Clock::time_point at);
   /// Thread-scoped instant event with optional structured args.
   void instant(const char* name, const char* category = "event",
                Json args = Json());
-
-  std::size_t num_events() const;
 
   /// Serializes `{"traceEvents": [...]}` to the path. Idempotent; called
   /// by the destructor if not called explicitly. Throws on I/O failure.
@@ -55,7 +52,7 @@ class TraceWriter {
  private:
   struct Event {
     char phase;  // 'B', 'E', 'i'
-    double ts_us;
+    std::uint64_t ts_ns;  // epoch_ns
     int tid;
     std::string name;      // empty for 'E'
     std::string category;  // empty for 'E'
@@ -66,47 +63,10 @@ class TraceWriter {
 
   std::string path_;
   int pid_;
-  Timer clock_;  ///< common epoch for all threads
   mutable std::mutex mu_;
   std::vector<Event> events_;
   std::vector<std::thread::id> tids_;
   bool closed_ = false;
-};
-
-/// RAII duration span; a null writer makes every operation a no-op.
-class ScopedSpan {
- public:
-  ScopedSpan(TraceWriter* writer, const char* name,
-             const char* category = "step")
-      : writer_(writer) {
-    if (writer_ != nullptr) writer_->begin(name, category);
-  }
-  ~ScopedSpan() {
-    if (writer_ != nullptr) writer_->end();
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
- private:
-  TraceWriter* writer_;
-};
-
-/// Times a scope into a Stopwatch (exactly like ScopedLap) and mirrors it
-/// as a trace span when a writer is attached. This is the step loop's
-/// instrumentation primitive: the Stopwatch total the benches/sampler read
-/// and the span the trace shows cover the same interval by construction.
-/// With a recorder attached the same scope also lands in the flight
-/// recorder as a phase begin/end event pair (the black box's timeline).
-class PhaseSpan {
- public:
-  PhaseSpan(Stopwatch& sw, TraceWriter* writer, const char* name,
-            Recorder* recorder = nullptr, std::uint16_t phase = 0)
-      : lap_(sw), span_(writer, name), recorded_(recorder, phase) {}
-
- private:
-  ScopedLap lap_;
-  ScopedSpan span_;
-  RecordedPhase recorded_;
 };
 
 }  // namespace minivpic::telemetry

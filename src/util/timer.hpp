@@ -23,45 +23,21 @@ class Timer {
   Clock::time_point start_;
 };
 
-/// Accumulating timer for repeated kernel invocations (cost breakdowns).
+/// Accumulated laps of one repeated interval (cost breakdowns). The step
+/// loop's telemetry::Phase scope measures each lap and adds it here.
 class Stopwatch {
  public:
-  void start() { t_.reset(); running_ = true; }
-
-  void stop() {
-    if (!running_) return;
-    total_ += t_.seconds();
+  void add(double seconds) {
+    total_ += seconds;
     ++laps_;
-    running_ = false;
   }
 
   double total_seconds() const { return total_; }
   std::uint64_t laps() const { return laps_; }
-  double mean_seconds() const { return laps_ ? total_ / double(laps_) : 0.0; }
-
-  void reset() {
-    total_ = 0.0;
-    laps_ = 0;
-    running_ = false;
-  }
 
  private:
-  Timer t_;
   double total_ = 0.0;
   std::uint64_t laps_ = 0;
-  bool running_ = false;
-};
-
-/// RAII lap guard: times a scope into a Stopwatch.
-class ScopedLap {
- public:
-  explicit ScopedLap(Stopwatch& sw) : sw_(sw) { sw_.start(); }
-  ~ScopedLap() { sw_.stop(); }
-  ScopedLap(const ScopedLap&) = delete;
-  ScopedLap& operator=(const ScopedLap&) = delete;
-
- private:
-  Stopwatch& sw_;
 };
 
 }  // namespace minivpic

@@ -260,8 +260,6 @@ TEST(Overlap, LedgerBalancesAndMigrationCountsMatch) {
     EXPECT_TRUE(o.enabled);
     // Every step overlaps the mobile species' advances (two beams).
     EXPECT_EQ(o.overlapped_steps, 2 * kSteps) << "rank " << r;
-    EXPECT_GT(o.skin_seconds, 0.0) << "rank " << r;
-    EXPECT_GT(o.interior_seconds, 0.0) << "rank " << r;
     EXPECT_GT(o.comm_seconds, 0.0) << "rank " << r;
     // hidden + exposed partitions the async exchange's wall time; each
     // piece is clamped non-negative, so the sum cannot exceed comm by more

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <string>
 
+#include "telemetry/phase.hpp"
 #include "util/error.hpp"
 #include "vmpi/config.hpp"
 
@@ -103,15 +104,15 @@ TEST(Recorder, ReadRejectsNonFdrFiles) {
 }
 
 TEST(RecordedPhase, NullRecorderIsANoOp) {
-  RecordedPhase span(nullptr, kFdrPhasePush);  // must not crash
+  const Phase span({}, kFdrPhasePush);  // must not crash
 }
 
 TEST(RecordedPhase, RecordsBalancedBeginEnd) {
   const std::string path = tmp_path("phase");
   Recorder rec(path, 0, 16);
   {
-    RecordedPhase step(&rec, kFdrPhaseStep);
-    RecordedPhase push(&rec, kFdrPhasePush);
+    const Phase step({nullptr, &rec}, kFdrPhaseStep);
+    const Phase push({nullptr, &rec}, kFdrPhasePush);
   }
   ASSERT_TRUE(rec.dump());
   const Recorder::Dump d = Recorder::read(path);

@@ -141,6 +141,11 @@ TEST(StepSamplerTest, ScalarsFollowTheCatalogue) {
   ASSERT_EQ(scalars.size(), again.size());
   for (std::size_t i = 0; i < scalars.size(); ++i)
     EXPECT_EQ(scalars[i].name, again[i].name);
+
+  // The phase table the phase metrics come from: ids unique and contiguous
+  // from 0 in row order, so every id indexes its own row.
+  for (std::size_t i = 0; i < kPhaseCount; ++i)
+    EXPECT_EQ(std::size_t(kPhases[i].id), i) << kPhases[i].name;
 }
 
 }  // namespace

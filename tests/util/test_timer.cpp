@@ -33,84 +33,13 @@ TEST(StopwatchTest, StartsAtZero) {
   Stopwatch sw;
   EXPECT_EQ(sw.total_seconds(), 0.0);
   EXPECT_EQ(sw.laps(), 0u);
-  EXPECT_EQ(sw.mean_seconds(), 0.0);
 }
 
 TEST(StopwatchTest, AccumulatesLaps) {
   Stopwatch sw;
-  for (int i = 0; i < 3; ++i) {
-    sw.start();
-    spin(std::chrono::microseconds(100));
-    sw.stop();
-  }
+  for (double lap : {0.25, 0.5, 0.125}) sw.add(lap);
   EXPECT_EQ(sw.laps(), 3u);
-  EXPECT_GT(sw.total_seconds(), 0.0);
-  EXPECT_NEAR(sw.mean_seconds(), sw.total_seconds() / 3.0, 1e-12);
-}
-
-TEST(StopwatchTest, StopWithoutStartIsIgnored) {
-  Stopwatch sw;
-  sw.stop();  // never started: must not record a lap
-  EXPECT_EQ(sw.laps(), 0u);
-  EXPECT_EQ(sw.total_seconds(), 0.0);
-}
-
-TEST(StopwatchTest, DoubleStopRecordsOneLap) {
-  Stopwatch sw;
-  sw.start();
-  sw.stop();
-  const double after_first = sw.total_seconds();
-  sw.stop();  // second stop of the same lap: no-op
-  EXPECT_EQ(sw.laps(), 1u);
-  EXPECT_EQ(sw.total_seconds(), after_first);
-}
-
-TEST(StopwatchTest, RestartDropsTheOpenLap) {
-  Stopwatch sw;
-  sw.start();
-  spin(std::chrono::microseconds(200));
-  sw.start();  // restart: the first lap was never stopped, so never counted
-  sw.stop();
-  EXPECT_EQ(sw.laps(), 1u);
-}
-
-TEST(StopwatchTest, ResetClearsEverything) {
-  Stopwatch sw;
-  sw.start();
-  sw.stop();
-  sw.reset();
-  EXPECT_EQ(sw.laps(), 0u);
-  EXPECT_EQ(sw.total_seconds(), 0.0);
-  // reset() while running must also forget the open lap.
-  sw.start();
-  sw.reset();
-  sw.stop();
-  EXPECT_EQ(sw.laps(), 0u);
-}
-
-TEST(ScopedLapTest, TimesTheScope) {
-  Stopwatch sw;
-  {
-    ScopedLap lap(sw);
-    spin(std::chrono::microseconds(100));
-  }
-  EXPECT_EQ(sw.laps(), 1u);
-  EXPECT_GT(sw.total_seconds(), 0.0);
-}
-
-TEST(ScopedLapTest, NestedScopesAccumulate) {
-  Stopwatch outer, inner;
-  {
-    ScopedLap a(outer);
-    {
-      ScopedLap b(inner);
-      spin(std::chrono::microseconds(100));
-    }
-  }
-  EXPECT_EQ(outer.laps(), 1u);
-  EXPECT_EQ(inner.laps(), 1u);
-  // The outer scope contains the inner one.
-  EXPECT_GE(outer.total_seconds(), inner.total_seconds());
+  EXPECT_EQ(sw.total_seconds(), 0.875);
 }
 
 }  // namespace
